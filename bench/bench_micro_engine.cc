@@ -121,7 +121,7 @@ BENCHMARK(BM_ContentModelSetGet);
 
 void BM_DiskComputeService(benchmark::State& state) {
   Simulator sim;
-  DiskModel disk(&sim, DiskSpec::HpC3325Like(), 0);
+  DiskModel disk(&sim, DiskMechanics::Compile(DiskSpec::HpC3325Like()), 0);
   Rng rng(42);
   const int64_t total = disk.TotalSectors();
   SimTime t = 0;
@@ -139,6 +139,34 @@ void BM_DiskComputeService(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DiskComputeService);
+
+// Submit -> completion through the Simulator: a burst of reads whose
+// completion callbacks each re-enter Submit with the matching write on the
+// same disk (the RAID 5 read-modify-write shape), drained by the event loop.
+// Guards the per-op record lifecycle as well as the service computation.
+void BM_DiskOpLifecycle(benchmark::State& state) {
+  Simulator sim;
+  DiskModel disk(&sim, DiskMechanics::Compile(DiskSpec::HpC3325Like()), 0);
+  Rng rng(42);
+  std::vector<int64_t> lbas(64);
+  for (int64_t& lba : lbas) {
+    lba = rng.UniformInt(0, disk.TotalSectors() - 17);
+  }
+  int64_t writes = 0;
+  for (auto _ : state) {
+    for (const int64_t lba : lbas) {
+      disk.Submit(DiskOp{lba, 16, false}, [&disk, &writes, lba](const DiskOpResult&) {
+        disk.Submit(DiskOp{lba, 16, true},
+                    [&writes](const DiskOpResult&) { ++writes; });
+      });
+    }
+    sim.RunToEnd();
+  }
+  benchmark::DoNotOptimize(writes);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 *
+                          static_cast<int64_t>(lbas.size()));
+}
+BENCHMARK(BM_DiskOpLifecycle);
 
 void BM_LayoutSplit(benchmark::State& state) {
   StripeLayout layout(5, 8192, 2'000'000'000, 1);

@@ -72,10 +72,11 @@ AfraidController::AfraidController(Simulator* sim, const ArrayConfig& config,
   assert((cfg_.stripe_unit_bytes / cfg_.disk_spec.sector_bytes) %
              cfg_.marks_per_stripe ==
          0);
+  const auto mechanics = DiskMechanics::Compile(cfg_.disk_spec);
   for (int32_t d = 0; d < cfg_.num_disks; ++d) {
     const Probe disk_probe = probe.NewTrack("disk" + std::to_string(d));
     disk_probes_.push_back(disk_probe);
-    disks_.push_back(std::make_unique<DiskModel>(sim_, cfg_.disk_spec, d, disk_probe));
+    disks_.push_back(std::make_unique<DiskModel>(sim_, mechanics, d, disk_probe));
   }
   ctrl_probe_ = probe.NewTrack("controller");
   rebuild_probe_ = probe.NewTrack("rebuild");

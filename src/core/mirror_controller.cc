@@ -16,8 +16,9 @@ MirrorController::MirrorController(Simulator* sim, const ArrayConfig& config)
                   .CapacityBytes(),
               /*parity_blocks=*/0) {
   assert(cfg_.num_disks >= 2 && cfg_.num_disks % 2 == 0);
+  const auto mechanics = DiskMechanics::Compile(cfg_.disk_spec);
   for (int32_t d = 0; d < cfg_.num_disks; ++d) {
-    disks_.push_back(std::make_unique<DiskModel>(sim_, cfg_.disk_spec, d));
+    disks_.push_back(std::make_unique<DiskModel>(sim_, mechanics, d));
   }
   if (cfg_.track_content) {
     // One "data" slot per column for the primary copy and one "parity" slot

@@ -38,8 +38,9 @@ ParityLogController::ParityLogController(Simulator* sim, const ArrayConfig& conf
                          PlDiskCapacity(config) - log_cfg_.log_region_bytes,
                          /*parity_blocks=*/1, config.decluster_width)) {
   assert(log_cfg_.log_region_bytes > log_cfg_.nvram_buffer_bytes);
+  const auto mechanics = DiskMechanics::Compile(cfg_.disk_spec);
   for (int32_t d = 0; d < cfg_.num_disks; ++d) {
-    disks_.push_back(std::make_unique<DiskModel>(sim_, cfg_.disk_spec, d));
+    disks_.push_back(std::make_unique<DiskModel>(sim_, mechanics, d));
   }
   if (cfg_.track_content) {
     content_ = std::make_unique<ContentModel>(

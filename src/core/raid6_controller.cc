@@ -36,8 +36,9 @@ Raid6Controller::Raid6Controller(Simulator* sim, const ArrayConfig& config,
       q_only_stale_(sim->Now()),
       both_stale_(sim->Now()) {
   assert(cfg_.num_disks >= 4);
+  const auto mechanics = DiskMechanics::Compile(cfg_.disk_spec);
   for (int32_t d = 0; d < cfg_.num_disks; ++d) {
-    disks_.push_back(std::make_unique<DiskModel>(sim_, cfg_.disk_spec, d));
+    disks_.push_back(std::make_unique<DiskModel>(sim_, mechanics, d));
   }
   if (cfg_.track_content) {
     content_ = std::make_unique<ContentModel>(

@@ -1,115 +1,36 @@
 #include "disk/disk_model.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <utility>
 
 namespace afraid {
 
-DiskModel::DiskModel(Simulator* sim, DiskSpec spec, int32_t disk_id, Probe probe)
+DiskModel::DiskModel(Simulator* sim, std::shared_ptr<const DiskMechanics> mechanics,
+                     int32_t disk_id, Probe probe)
     : sim_(sim),
-      spec_(std::move(spec)),
-      geometry_(spec_.zones, spec_.heads, spec_.sector_bytes),
-      seek_model_(spec_.seek),
+      mech_(std::move(mechanics)),
       disk_id_(disk_id),
       probe_(probe),
       busy_time_(sim->Now()) {
-  // Freeze the seek curve into a per-distance table: the longest possible
-  // move is TotalCylinders-1, so every SeekTime the mechanism can ask for
-  // becomes a load instead of a sqrt. The table is exact (see seek_model.h).
-  seek_model_.PrecomputeTable(geometry_.TotalCylinders() - 1);
+  assert(mech_ != nullptr);
   if (probe_) {
     queue_counter_name_ = "disk" + std::to_string(disk_id_) + " queue";
   }
 }
 
-int32_t DiskModel::TrackSkew(int32_t sectors_per_track) const {
-  // One skew value stands in for both track skew and cylinder skew: enough
-  // sectors to hide the worst single-track move -- a head switch, or a
-  // track-to-track seek plus write settle -- plus one sector of margin.
-  // (Real disks use a smaller skew for head switches; the approximation
-  // costs well under a millisecond per head switch.)
-  const double rev = static_cast<double>(spec_.RevolutionTime());
-  const double worst_move = std::max<double>(
-      static_cast<double>(spec_.head_switch),
-      static_cast<double>(seek_model_.SeekTime(1) + spec_.write_settle));
-  const double frac = worst_move / rev;
-  return static_cast<int32_t>(std::ceil(frac * sectors_per_track)) + 1;
+DiskModel::OpRecord* DiskModel::AcquireRecord() {
+  if (free_records_.empty()) {
+    records_.push_back(std::make_unique<OpRecord>());
+    return records_.back().get();
+  }
+  OpRecord* rec = free_records_.back();
+  free_records_.pop_back();
+  return rec;
 }
 
-SimDuration DiskModel::RotationalWait(SimTime now, const Chs& chs) const {
-  const int64_t rev = spec_.RevolutionTime();
-  const int32_t spt = chs.sectors_per_track;
-  const int64_t skew = static_cast<int64_t>(TrackSkew(spt)) * chs.track_index;
-  const int32_t slot = static_cast<int32_t>((chs.sector + skew) % spt);
-  const double target_frac = static_cast<double>(slot) / spt;
-  const double cur_frac = static_cast<double>(now % rev) / static_cast<double>(rev);
-  double wait_frac = target_frac - cur_frac;
-  if (wait_frac < 0.0) {
-    wait_frac += 1.0;
-  }
-  return static_cast<SimDuration>(wait_frac * static_cast<double>(rev) + 0.5);
-}
-
-ServiceBreakdown DiskModel::ComputeService(SimTime start, const DiskOp& op,
-                                           int32_t from_cylinder,
-                                           int32_t* end_cylinder) const {
-  assert(op.sectors > 0);
-  assert(op.lba >= 0 && op.lba + op.sectors <= geometry_.TotalSectors());
-
-  ServiceBreakdown bd;
-  bd.overhead = spec_.controller_overhead;
-  SimTime t = start + bd.overhead;
-
-  Chs chs = geometry_.ToChs(op.lba);
-  bd.seek = seek_model_.SeekTime(chs.cylinder - from_cylinder);
-  if (op.is_write) {
-    bd.seek += spec_.write_settle;
-  }
-  t += bd.seek;
-
-  const int64_t rev = spec_.RevolutionTime();
-  int64_t lba = op.lba;
-  int32_t remaining = op.sectors;
-  bool first_track = true;
-  while (remaining > 0) {
-    if (!first_track) {
-      // Move to the next track: same cylinder -> head switch; otherwise a
-      // (short) seek. Writes settle again after the repositioning.
-      const Chs next = geometry_.ToChs(lba);
-      SimDuration move = 0;
-      if (next.cylinder == chs.cylinder) {
-        move = spec_.head_switch;
-      } else {
-        move = seek_model_.SeekTime(next.cylinder - chs.cylinder);
-        if (op.is_write) {
-          move += spec_.write_settle;
-        }
-      }
-      bd.transfer += move;
-      t += move;
-      chs = next;
-    }
-    const SimDuration rot = RotationalWait(t, chs);
-    bd.rotation += rot;
-    t += rot;
-
-    const int32_t on_track = std::min<int32_t>(remaining, chs.sectors_per_track - chs.sector);
-    const auto media = static_cast<SimDuration>(
-        static_cast<double>(rev) * on_track / chs.sectors_per_track + 0.5);
-    bd.transfer += media;
-    t += media;
-    lba += on_track;
-    remaining -= on_track;
-    first_track = false;
-  }
-
-  if (end_cylinder != nullptr) {
-    // Arm finishes over the cylinder holding the final sector.
-    *end_cylinder = geometry_.ToChs(lba - 1).cylinder;
-  }
-  return bd;
+void DiskModel::ReleaseRecord(OpRecord* rec) {
+  rec->done.Reset();  // Drop the callback's captures eagerly.
+  free_records_.push_back(rec);
 }
 
 void DiskModel::Submit(const DiskOp& op, DiskOpCallback done) {
@@ -124,7 +45,11 @@ void DiskModel::Submit(const DiskOp& op, DiskOpCallback done) {
     sim_->After(0, [done = std::move(done), result]() mutable { done(result); });
     return;
   }
-  queue_.push_back(Pending{op, std::move(done), now});
+  OpRecord* rec = AcquireRecord();
+  rec->op = op;
+  rec->submitted = now;
+  rec->done = std::move(done);
+  queue_.push_back(rec);
   if (probe_) {
     probe_.Counter(queue_counter_name_, now, static_cast<double>(QueueDepth()));
   }
@@ -138,39 +63,20 @@ void DiskModel::StartNext() {
   if (queue_.empty() || failed_) {
     return;
   }
-  if (inflight_free_.empty()) {
-    inflight_slots_.push_back(std::make_unique<InFlight>());
-    inflight_free_.push_back(static_cast<int32_t>(inflight_slots_.size()) - 1);
-  }
-  const int32_t slot = inflight_free_.back();
-  inflight_free_.pop_back();
-  InFlight& f = *inflight_slots_[slot];
-  f.p = std::move(queue_.front());
+  OpRecord* rec = queue_.front();
   queue_.pop_front();
   busy_ = true;
-  busy_time_.Set(sim_->Now(), 1.0);
+  const SimTime now = sim_->Now();
+  busy_time_.Set(now, 1.0);
 
-  f.service_start = sim_->Now();
+  rec->service_start = now;
   int32_t end_cylinder = current_cylinder_;
-  f.bd = ComputeService(f.service_start, f.p.op, current_cylinder_, &end_cylinder);
+  rec->bd = mech_->ComputeService(now, rec->op, current_cylinder_, &end_cylinder);
   current_cylinder_ = end_cylinder;
-  sim_->After(f.bd.Total(), [this, slot] { CompleteSlot(slot); });
+  sim_->After(rec->bd.Total(), [this, rec] { Complete(rec); });
 }
 
-void DiskModel::CompleteSlot(int32_t slot) {
-  InFlight& f = *inflight_slots_[slot];
-  Pending p = std::move(f.p);
-  const ServiceBreakdown bd = f.bd;
-  const SimTime service_start = f.service_start;
-  // The slot is free for reuse before the completion callback runs -- the
-  // callback may re-enter Submit and start the next operation.
-  f.p = Pending{};
-  inflight_free_.push_back(slot);
-  CompleteCurrent(p, bd, service_start);
-}
-
-void DiskModel::CompleteCurrent(Pending& p, const ServiceBreakdown& breakdown,
-                                SimTime service_start) {
+void DiskModel::Complete(OpRecord* rec) {
   const SimTime now = sim_->Now();
   busy_ = false;
   busy_time_.Set(now, 0.0);
@@ -179,23 +85,26 @@ void DiskModel::CompleteCurrent(Pending& p, const ServiceBreakdown& breakdown,
   }
 
   DiskOpResult result;
-  result.submitted = p.submitted;
-  result.service_start = service_start;
+  result.submitted = rec->submitted;
+  result.service_start = rec->service_start;
   result.finish = now;
   if (failed_) {
     // The mechanism died mid-flight; report failure, do not count the op.
     result.ok = false;
   } else {
     result.ok = true;
-    result.breakdown = breakdown;
+    result.breakdown = rec->bd;
     ++ops_completed_;
-    sectors_transferred_ += p.op.sectors;
-    service_times_.Add(ToMilliseconds(now - service_start));
+    sectors_transferred_ += rec->op.sectors;
+    service_times_.Add(ToMilliseconds(now - rec->service_start));
   }
-  p.done(result);
+  // The callback runs in place and may re-enter Submit, which then draws a
+  // different record: this one is released only after the callback returns.
+  rec->done(result);
   if (!failed_) {
     StartNext();
   }
+  ReleaseRecord(rec);
 }
 
 void DiskModel::Fail() {
@@ -207,14 +116,15 @@ void DiskModel::Fail() {
   // will observe failed_ when its completion event fires.
   const SimTime now = sim_->Now();
   while (!queue_.empty()) {
-    Pending p = std::move(queue_.front());
+    OpRecord* rec = queue_.front();
     queue_.pop_front();
     DiskOpResult result;
     result.ok = false;
-    result.submitted = p.submitted;
+    result.submitted = rec->submitted;
     result.service_start = now;
     result.finish = now;
-    sim_->After(0, [done = std::move(p.done), result]() mutable { done(result); });
+    sim_->After(0, [done = std::move(rec->done), result]() mutable { done(result); });
+    ReleaseRecord(rec);
   }
 }
 

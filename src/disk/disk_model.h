@@ -26,7 +26,7 @@
 
 #include "disk/disk_spec.h"
 #include "disk/geometry.h"
-#include "disk/seek_model.h"
+#include "disk/mechanics.h"
 #include "obs/probe.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -34,23 +34,6 @@
 #include "stats/time_weighted.h"
 
 namespace afraid {
-
-// One contiguous sector-level operation against a disk.
-struct DiskOp {
-  int64_t lba = 0;        // First sector.
-  int32_t sectors = 0;    // Number of sectors (> 0).
-  bool is_write = false;
-};
-
-// Where the service time went, for tests and analysis.
-struct ServiceBreakdown {
-  SimDuration overhead = 0;
-  SimDuration seek = 0;      // Includes write settle for writes.
-  SimDuration rotation = 0;  // Rotational latency plus mid-transfer realigns.
-  SimDuration transfer = 0;  // Media time moving sectors, plus head switches.
-
-  SimDuration Total() const { return overhead + seek + rotation + transfer; }
-};
 
 struct DiskOpResult {
   bool ok = true;                 // False if the disk failed.
@@ -67,10 +50,12 @@ using DiskOpCallback = SmallCallback<void(const DiskOpResult&), 112>;
 
 class DiskModel {
  public:
-  // `probe`, when non-null, should be bound to this disk's trace track; the
-  // model emits a queue-depth counter timeline on it (array-level code emits
-  // the purpose-labelled service spans).
-  DiskModel(Simulator* sim, DiskSpec spec, int32_t disk_id, Probe probe = {});
+  // `mechanics` is the array's compiled disk spec, shared read-only by all
+  // its disks. `probe`, when non-null, should be bound to this disk's trace
+  // track; the model emits a queue-depth counter timeline on it (array-level
+  // code emits the purpose-labelled service spans).
+  DiskModel(Simulator* sim, std::shared_ptr<const DiskMechanics> mechanics,
+            int32_t disk_id, Probe probe = {});
   DiskModel(const DiskModel&) = delete;
   DiskModel& operator=(const DiskModel&) = delete;
 
@@ -78,8 +63,11 @@ class DiskModel {
   // is (or becomes) failed, it fires with ok=false.
   void Submit(const DiskOp& op, DiskOpCallback done);
 
-  // Marks the disk failed. The in-flight operation and everything queued
-  // complete immediately with ok=false; later Submits fail at submit time.
+  // Marks the disk failed. Everything queued completes with ok=false at the
+  // failure time; later Submits fail at submit time. The in-flight op, if
+  // any, is not cut short: it completes at its scheduled finish time with
+  // ok=false, and until then the disk is still busy -- Replace() must wait
+  // for that completion.
   void Fail();
 
   // Installs a fresh (replacement) mechanism: clears the failure, resets the
@@ -88,9 +76,10 @@ class DiskModel {
 
   bool failed() const { return failed_; }
   int32_t disk_id() const { return disk_id_; }
-  const DiskSpec& spec() const { return spec_; }
-  const DiskGeometry& geometry() const { return geometry_; }
-  int64_t TotalSectors() const { return geometry_.TotalSectors(); }
+  const DiskMechanics& mechanics() const { return *mech_; }
+  const DiskSpec& spec() const { return mech_->spec(); }
+  const DiskGeometry& geometry() const { return mech_->geometry(); }
+  int64_t TotalSectors() const { return mech_->geometry().TotalSectors(); }
 
   // True when no operation is in flight or queued.
   bool Idle() const { return !busy_ && queue_.empty(); }
@@ -104,7 +93,9 @@ class DiskModel {
   // with the arm at cylinder `from_cylinder`? Does not disturb disk state.
   // Also reports the cylinder where the arm ends up.
   ServiceBreakdown ComputeService(SimTime start, const DiskOp& op,
-                                  int32_t from_cylinder, int32_t* end_cylinder) const;
+                                  int32_t from_cylinder, int32_t* end_cylinder) const {
+    return mech_->ComputeService(start, op, from_cylinder, end_cylinder);
+  }
 
   // Lifetime statistics.
   uint64_t OpsCompleted() const { return ops_completed_; }
@@ -113,43 +104,36 @@ class DiskModel {
   const StreamingStats& ServiceTimes() const { return service_times_; }
 
  private:
-  struct Pending {
+  // One op's context from Submit to completion, at a stable address: filled
+  // in place, queued by pointer, and its callback run in place, so the
+  // completion event captures only [this, record] and nothing is moved or
+  // heap-allocated once the pool has warmed up. A record per op (not a
+  // single in-service member) deliberately preserves the existing completion
+  // semantics: Complete runs the callback after releasing the mechanism, so
+  // a re-entrant Submit can overlap with the trailing StartNext (see
+  // ROADMAP).
+  struct OpRecord {
     DiskOp op;
-    DiskOpCallback done;
     SimTime submitted = 0;
-  };
-  // In-flight operation context, pooled so the completion event captures only
-  // [this, slot] and the hot path never heap-allocates. A slot per op (not a
-  // single member) deliberately preserves the existing completion semantics:
-  // CompleteCurrent runs the callback after releasing the mechanism, so a
-  // re-entrant Submit can overlap with StartNext (see ROADMAP).
-  struct InFlight {
-    Pending p;
-    ServiceBreakdown bd;
     SimTime service_start = 0;
+    ServiceBreakdown bd;
+    DiskOpCallback done;
   };
 
+  OpRecord* AcquireRecord();
+  void ReleaseRecord(OpRecord* rec);
   void StartNext();
-  void CompleteSlot(int32_t slot);
-  void CompleteCurrent(Pending& p, const ServiceBreakdown& breakdown,
-                       SimTime service_start);
-  // Time from `now` until the start of sector `sector` (with skew applied) of
-  // the track described by `chs` passes under the head.
-  SimDuration RotationalWait(SimTime now, const Chs& chs) const;
-  // Skew, in sectors, applied per global track index in the given zone.
-  int32_t TrackSkew(int32_t sectors_per_track) const;
+  void Complete(OpRecord* rec);
 
   Simulator* sim_;
-  DiskSpec spec_;
-  DiskGeometry geometry_;
-  SeekModel seek_model_;
+  std::shared_ptr<const DiskMechanics> mech_;
   int32_t disk_id_;
   Probe probe_;
   std::string queue_counter_name_;  // Built once; empty when probe_ is null.
 
-  RingQueue<Pending> queue_;
-  std::vector<std::unique_ptr<InFlight>> inflight_slots_;
-  std::vector<int32_t> inflight_free_;
+  RingQueue<OpRecord*> queue_;
+  std::vector<std::unique_ptr<OpRecord>> records_;
+  std::vector<OpRecord*> free_records_;
   bool busy_ = false;
   bool failed_ = false;
   int32_t current_cylinder_ = 0;

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -65,7 +66,12 @@ class RingQueue {
 
   void pop_front() {
     assert(count_ > 0);
-    buf_[head_] = T();  // Drop held resources (callback captures) eagerly.
+    // Drop held resources (callback captures) eagerly. A trivially
+    // destructible element (a pointer, an index) holds none, so its slot is
+    // left as is rather than overwritten by a value-initialised temporary.
+    if constexpr (!std::is_trivially_destructible_v<T>) {
+      buf_[head_] = T();
+    }
     head_ = (head_ + 1) & (buf_.size() - 1);
     --count_;
   }

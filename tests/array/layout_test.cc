@@ -127,7 +127,7 @@ TEST(FastDiv, MatchesHardwareDivide) {
   Rng rng(7);
   for (int64_t d : std::initializer_list<int64_t>{
            1, 2, 3, 4, 5, 7, 8, 12, 4096, 8192, 8191, 65536, 1'000'003,
-           int64_t{1} << 40}) {
+           10'000'000, 11'111'111, int64_t{1} << 40}) {
     const FastDiv64 fd(d);
     // Edge values plus a random spray across the full non-negative range.
     for (int64_t n : {int64_t{0}, int64_t{1}, d - 1, d, d + 1, 2 * d - 1,

@@ -71,7 +71,7 @@ TEST(SeekModel, TableExactAtEveryDistance) {
 
 class DiskModelTest : public ::testing::Test {
  protected:
-  DiskModelTest() : disk_(&sim_, DiskSpec::HpC3325Like(), 0) {}
+  DiskModelTest() : disk_(&sim_, DiskMechanics::Compile(DiskSpec::HpC3325Like()), 0) {}
 
   DiskOpResult RunOne(int64_t lba, int32_t sectors, bool is_write) {
     DiskOpResult out;
@@ -216,7 +216,7 @@ TEST_F(DiskModelTest, ComputeServiceIsPure) {
 TEST_F(DiskModelTest, SpinSynchronizedDisksShareAngularPosition) {
   // Two disks of the same spec at the same simulated time must compute the
   // same rotational delay for the same op (the paper assumes spin sync).
-  DiskModel other(&sim_, DiskSpec::HpC3325Like(), 1);
+  DiskModel other(&sim_, DiskMechanics::Compile(DiskSpec::HpC3325Like()), 1);
   DiskOp op{777777, 8, false};
   int32_t end = 0;
   const auto a = disk_.ComputeService(Seconds(1), op, 10, &end);
@@ -226,7 +226,7 @@ TEST_F(DiskModelTest, SpinSynchronizedDisksShareAngularPosition) {
 
 TEST(DiskModelProperty, ServiceTimesWithinPhysicalBounds) {
   Simulator sim;
-  DiskModel disk(&sim, DiskSpec::HpC3325Like(), 0);
+  DiskModel disk(&sim, DiskMechanics::Compile(DiskSpec::HpC3325Like()), 0);
   Rng rng(77);
   const SimDuration rev = DiskSpec::HpC3325Like().RevolutionTime();
   for (int i = 0; i < 3000; ++i) {
