@@ -9,16 +9,25 @@
 // corresponding disk transfer completes, so tests can fail a disk at an
 // arbitrary time and check precisely which data is recoverable.
 //
-// Storage is sparse per stripe: untouched stripes are implicitly all-zero,
-// which is parity-consistent by construction (a freshly initialised array).
+// Storage is sparse per stripe, and zero is implicit: a stripe the model
+// does not store reads as all zero, which is parity-consistent by
+// construction (a freshly initialised array). A stripe is stored only once
+// it holds a nonzero value. Writing zero into a stripe the model does not
+// store stores nothing, and every whole-unit operation is a no-op on such a
+// stripe (its result there is all zero). A stored stripe whose values
+// return to zero may stay stored. So the model's memory scales with the
+// stripes a run writes, not with the stripes a reconstruction sweep or a
+// scrub visits. TouchedStripes() lists every stripe that may hold a nonzero
+// value, in the order the stripes were first stored.
 //
 // Layout: a single open-addressed hash table maps stripe number to a slot in
 // one contiguous value array. Each stripe's values are stored sector-major --
-// all N+P block values for sector 0, then for sector 1, ... -- so XorOfData
-// (the rebuild/degraded-read inner loop) reduces over a contiguous run of
+// all N+P block values for sector 0, then for sector 1, ... -- so the parity
+// reductions (XorOfData, RefreshParity, ReconstructBlock) run over contiguous
 // data values that the compiler can vectorise. A one-entry lookup cache
 // short-circuits the probe for the per-transfer bursts of Get/Set the
-// controllers issue against a single stripe.
+// controllers issue against a single stripe; the whole-unit operations
+// resolve the slot once per stripe unit.
 
 #ifndef AFRAID_ARRAY_CONTENT_H_
 #define AFRAID_ARRAY_CONTENT_H_
@@ -74,61 +83,7 @@ class ContentModel {
   uint64_t XorOfData(int64_t stripe, int32_t sector) const {
     assert(sector >= 0 && sector < spu_);
     const uint32_t slot = FindSlot(stripe);
-    if (slot == kNoStripe) {
-      return 0;
-    }
-    const uint64_t* row = RowPtr(slot, sector);
-    uint64_t x = 0;
-    for (int32_t j = 0; j < n_; ++j) {
-      x ^= row[j];
-    }
-    return x;
-  }
-
-  // Word-batched variant: out[i] = XorOfData(stripe, first + i) for i in
-  // [0, count). One slot lookup and one contiguous sweep over the stripe's
-  // sector-major rows instead of a lookup + reduction call per sector --
-  // the shape the parity rebuild and scrub paths consume.
-  void XorOfDataRange(int64_t stripe, int32_t first, int32_t count,
-                      uint64_t* out) const {
-    assert(first >= 0 && count >= 0 && first + count <= spu_);
-    const uint32_t slot = FindSlot(stripe);
-    if (slot == kNoStripe) {
-      for (int32_t i = 0; i < count; ++i) {
-        out[i] = 0;
-      }
-      return;
-    }
-    const uint64_t* row = RowPtr(slot, first);
-    for (int32_t i = 0; i < count; ++i, row += width_) {
-      uint64_t x = 0;
-      for (int32_t j = 0; j < n_; ++j) {
-        x ^= row[j];
-      }
-      out[i] = x;
-    }
-  }
-
-  // All sector positions of the stripe; `out` must hold sectors_per_unit()
-  // values.
-  void XorOfDataAll(int64_t stripe, uint64_t* out) const {
-    XorOfDataRange(stripe, 0, spu_, out);
-  }
-
-  // Batch parity store: SetParity(stripe, first + i, vals[i], which) for i in
-  // [0, count), with a single slot resolution.
-  void SetParityRange(int64_t stripe, int32_t first, int32_t count,
-                      const uint64_t* vals, int32_t which = 0) {
-    assert(which >= 0 && which < pb_);
-    assert(first >= 0 && count >= 0 && first + count <= spu_);
-    if (count == 0) {
-      return;
-    }
-    const uint32_t slot = FindOrInsertSlot(stripe);
-    uint64_t* cell = values_.data() + ValueIndex(slot, n_ + which, first);
-    for (int32_t i = 0; i < count; ++i, cell += width_) {
-      *cell = vals[i];
-    }
+    return slot == kNoStripe ? 0 : DataXor(RowPtr(slot, sector));
   }
 
   // Reconstruction of data block j from the other data blocks and P parity:
@@ -146,20 +101,85 @@ class ContentModel {
     }
     for (int32_t s = 0; s < spu_; ++s) {
       const uint64_t* row = RowPtr(slot, s);
-      uint64_t x = 0;
-      for (int32_t j = 0; j < n_; ++j) {
-        x ^= row[j];
-      }
-      if (row[n_] != x) {
+      if (row[n_] != DataXor(row)) {
         return false;
       }
     }
     return true;
   }
 
-  // Stripes that have ever been written (for whole-model consistency scans),
-  // in first-touch order.
-  std::vector<int64_t> TouchedStripes() const { return stripe_of_slot_; }
+  // Every stripe that may hold a nonzero value (for whole-model consistency
+  // scans), in first-store order. Any stripe not listed reads as all zero.
+  const std::vector<int64_t>& TouchedStripes() const { return stripe_of_slot_; }
+
+  // True iff the model stores `stripe`; a stripe it does not store is all
+  // zero.
+  bool Stores(int64_t stripe) const { return FindSlot(stripe) != kNoStripe; }
+
+  // --- Whole-unit operations -------------------------------------------------
+  //
+  // Each updates one stripe unit in place with a single slot lookup and is a
+  // no-op on a stripe the model does not store. Blocks are addressed by
+  // column: data block j is column j, parity block `which` is column
+  // ParityColumn(which).
+
+  int32_t ParityColumn(int32_t which = 0) const {
+    assert(which >= 0 && which < pb_);
+    return n_ + which;
+  }
+
+  // P parity becomes the xor of the data blocks at sectors
+  // [first, first + count): SetParity(stripe, s, XorOfData(stripe, s)) for
+  // each of them.
+  void RefreshParity(int64_t stripe, int32_t first, int32_t count) {
+    assert(first >= 0 && count >= 0 && first + count <= spu_);
+    uint64_t* row = StoredRow(stripe, first);
+    if (row == nullptr) {
+      return;
+    }
+    for (int32_t i = 0; i < count; ++i, row += width_) {
+      row[n_] = DataXor(row);
+    }
+  }
+  void RefreshParity(int64_t stripe) { RefreshParity(stripe, 0, spu_); }
+
+  // Data block j becomes P xor the other data blocks at every sector:
+  // SetData(stripe, j, s, ReconstructData(stripe, j, s)) for each of them.
+  void ReconstructBlock(int64_t stripe, int32_t j) {
+    assert(j >= 0 && j < n_);
+    uint64_t* row = StoredRow(stripe, 0);
+    if (row == nullptr) {
+      return;
+    }
+    for (int32_t s = 0; s < spu_; ++s, row += width_) {
+      row[j] = DataXor(row) ^ row[j] ^ row[n_];
+    }
+  }
+
+  // Column `col` becomes all zero: the blank unit of a replacement disk.
+  void ZeroBlock(int64_t stripe, int32_t col) {
+    assert(col >= 0 && col < width_);
+    uint64_t* row = StoredRow(stripe, 0);
+    if (row == nullptr) {
+      return;
+    }
+    for (int32_t s = 0; s < spu_; ++s, row += width_) {
+      row[col] = 0;
+    }
+  }
+
+  // Column `to` becomes a copy of column `from`: a mirror twin copied onto
+  // its replacement.
+  void CopyBlock(int64_t stripe, int32_t from, int32_t to) {
+    assert(from >= 0 && from < width_ && to >= 0 && to < width_);
+    uint64_t* row = StoredRow(stripe, 0);
+    if (row == nullptr) {
+      return;
+    }
+    for (int32_t s = 0; s < spu_; ++s, row += width_) {
+      row[to] = row[from];
+    }
+  }
 
   // The unique value a client write `tag` deposits into logical sector
   // `logical_sector`. Tests recompute this to know what to expect.
@@ -185,18 +205,35 @@ class ContentModel {
     return z ^ (z >> 31);
   }
 
-  const uint64_t* RowPtr(uint32_t slot, int32_t sector) const {
-    return values_.data() + static_cast<size_t>(slot) * stride_ +
-           static_cast<size_t>(sector) * static_cast<size_t>(width_);
-  }
-
   size_t ValueIndex(uint32_t slot, int32_t block, int32_t sector) const {
     return static_cast<size_t>(slot) * stride_ +
            static_cast<size_t>(sector) * static_cast<size_t>(width_) +
            static_cast<size_t>(block);
   }
 
-  // Linear-probe lookup; kNoStripe if the stripe was never written.
+  const uint64_t* RowPtr(uint32_t slot, int32_t sector) const {
+    return values_.data() + ValueIndex(slot, 0, sector);
+  }
+
+  // Sector row `sector` of `stripe`, or nullptr if the model does not store
+  // the stripe.
+  uint64_t* StoredRow(int64_t stripe, int32_t sector) {
+    const uint32_t slot = FindSlot(stripe);
+    return slot == kNoStripe ? nullptr
+                             : values_.data() + ValueIndex(slot, 0, sector);
+  }
+
+  // Xor of the data values of one sector row: a reduction over `n_`
+  // contiguous values.
+  uint64_t DataXor(const uint64_t* row) const {
+    uint64_t x = 0;
+    for (int32_t j = 0; j < n_; ++j) {
+      x ^= row[j];
+    }
+    return x;
+  }
+
+  // Linear-probe lookup; kNoStripe if the model does not store the stripe.
   uint32_t FindSlot(int64_t stripe) const {
     if (cached_slot_ != kNoStripe && cached_stripe_ == stripe) {
       return cached_slot_;
@@ -216,11 +253,8 @@ class ContentModel {
     }
   }
 
-  uint32_t FindOrInsertSlot(int64_t stripe) {
-    const uint32_t found = FindSlot(stripe);
-    if (found != kNoStripe) {
-      return found;
-    }
+  // Stores a new all-zero stripe; the caller has checked it is absent.
+  uint32_t InsertSlot(int64_t stripe) {
     // Grow at 50% load so probe sequences stay short.
     if ((stripe_of_slot_.size() + 1) * 2 > buckets_.size()) {
       Rehash(buckets_.size() * 2);
@@ -261,7 +295,14 @@ class ContentModel {
   }
   void Set(int64_t stripe, int32_t block, int32_t sector, uint64_t v) {
     assert(sector >= 0 && sector < spu_);
-    values_[ValueIndex(FindOrInsertSlot(stripe), block, sector)] = v;
+    uint32_t slot = FindSlot(stripe);
+    if (slot == kNoStripe) {
+      if (v == 0) {
+        return;  // Zero stays implicit.
+      }
+      slot = InsertSlot(stripe);
+    }
+    values_[ValueIndex(slot, block, sector)] = v;
   }
 
   int32_t n_;
@@ -271,7 +312,7 @@ class ContentModel {
   size_t stride_;   // Values per stripe.
 
   std::vector<uint32_t> buckets_;        // Open-addressed: slot index + 1.
-  std::vector<int64_t> stripe_of_slot_;  // Slot -> stripe key, touch order.
+  std::vector<int64_t> stripe_of_slot_;  // Slot -> stripe key, store order.
   std::vector<uint64_t> values_;         // Slot-contiguous, sector-major.
 
   mutable int64_t cached_stripe_ = 0;

@@ -1069,16 +1069,8 @@ void AfraidController::RebuildBand(int64_t band_key, JoinBlock* step_join) {
                        step_join](bool ok) {
                         if (ok) {
                           if (content_ != nullptr) {
-                            // One batched sweep over the band's sectors in
-                            // place of a lookup + reduction per sector.
-                            parity_scratch_.resize(
-                                static_cast<size_t>(band_sectors));
-                            content_->XorOfDataRange(stripe, first_sector,
-                                                     band_sectors,
-                                                     parity_scratch_.data());
-                            content_->SetParityRange(stripe, first_sector,
-                                                     band_sectors,
-                                                     parity_scratch_.data());
+                            content_->RefreshParity(stripe, first_sector,
+                                                    band_sectors);
                           }
                           ClearBandKey(band_key);
                           ++stripes_rebuilt_;
@@ -1172,15 +1164,11 @@ bool AfraidController::ReplaceDisk(int32_t disk) {
     for (int64_t s : content_->TouchedStripes()) {
       for (int32_t j = 0; j < layout_->data_blocks_per_stripe(); ++j) {
         if (layout_->DataDisk(s, j) == disk) {
-          for (int32_t i = 0; i < content_->sectors_per_unit(); ++i) {
-            content_->SetData(s, j, i, 0);
-          }
+          content_->ZeroBlock(s, j);
         }
       }
       if (layout_->ParityDisk(s) == disk) {
-        for (int32_t i = 0; i < content_->sectors_per_unit(); ++i) {
-          content_->SetParity(s, i, 0);
-        }
+        content_->ZeroBlock(s, content_->ParityColumn());
       }
     }
   }
@@ -1247,11 +1235,7 @@ void AfraidController::ReconstructNextStripe(int64_t stripe) {
                     DiskOpPurpose::kRecoveryWrite, [this, stripe, advance](bool ok2) {
                       if (ok2) {
                         if (content_ != nullptr) {
-                          const int32_t spu = content_->sectors_per_unit();
-                          parity_scratch_.resize(static_cast<size_t>(spu));
-                          content_->XorOfDataAll(stripe, parity_scratch_.data());
-                          content_->SetParityRange(stripe, 0, spu,
-                                                   parity_scratch_.data());
+                          content_->RefreshParity(stripe);
                         }
                         ClearAllBands(stripe);
                       }
@@ -1298,10 +1282,7 @@ void AfraidController::ReconstructNextStripe(int64_t stripe) {
                   [this, stripe, j_target, dirty_bands, advance](bool ok2) {
                     if (ok2) {
                       if (content_ != nullptr) {
-                        for (int32_t i = 0; i < content_->sectors_per_unit(); ++i) {
-                          content_->SetData(stripe, j_target, i,
-                                            content_->ReconstructData(stripe, j_target, i));
-                        }
+                        content_->ReconstructBlock(stripe, j_target);
                       }
                       if (dirty_bands > 0) {
                         // Only the stale bands of the lost block are gone.
@@ -1383,11 +1364,7 @@ void AfraidController::ScrubNextStripe(int64_t stripe) {
       IssueDiskOp(pl.disk, pl.byte_offset, unit, /*is_write=*/true,
                   DiskOpPurpose::kRebuildWrite, [this, stripe, advance](bool ok2) {
                     if (ok2 && content_ != nullptr) {
-                      const int32_t spu = content_->sectors_per_unit();
-                      parity_scratch_.resize(static_cast<size_t>(spu));
-                      content_->XorOfDataAll(stripe, parity_scratch_.data());
-                      content_->SetParityRange(stripe, 0, spu,
-                                               parity_scratch_.data());
+                      content_->RefreshParity(stripe);
                     }
                     advance(ok2);
                   });

@@ -298,7 +298,6 @@ class AfraidController : public ArrayScheme {
   mutable std::vector<Segment> read_back_scratch_;   // ReadLogicalCurrent.
   std::vector<const Segment*> by_block_scratch_;     // Raid5WriteGroup.
   std::vector<const Segment*> need_read_scratch_;    // ReadModifyWrite.
-  std::vector<uint64_t> parity_scratch_;             // Batched parity recompute.
 
   SimTime start_time_;
   int32_t outstanding_clients_ = 0;

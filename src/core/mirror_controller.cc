@@ -208,15 +208,8 @@ bool MirrorController::ReplaceDisk(int32_t disk) {
     const int32_t side = disk % 2;
     for (int64_t s : content_->TouchedStripes()) {
       for (int32_t j = 0; j < layout_.data_blocks_per_stripe(); ++j) {
-        if (layout_.DataDisk(s, j) != col) {
-          continue;
-        }
-        for (int32_t i = 0; i < content_->sectors_per_unit(); ++i) {
-          if (side == 0) {
-            content_->SetData(s, j, i, 0);
-          } else {
-            content_->SetParity(s, i, 0, j);
-          }
+        if (layout_.DataDisk(s, j) == col) {
+          content_->ZeroBlock(s, side == 0 ? j : content_->ParityColumn(j));
         }
       }
     }
@@ -261,14 +254,14 @@ void MirrorController::ReconstructNextStripe(int64_t stripe) {
       }
     }
     assert(jb >= 0);
-    // Logical copy first, under the lock: twin -> replacement, exact.
+    // Logical copy first, under the lock: twin -> replacement, exact. Column
+    // jb holds the even disk's copy, ParityColumn(jb) the odd disk's.
     if (content_ != nullptr) {
-      for (int32_t s = 0; s < content_->sectors_per_unit(); ++s) {
-        if (side == 0) {
-          content_->SetData(stripe, jb, s, content_->GetParity(stripe, s, jb));
-        } else {
-          content_->SetParity(stripe, s, content_->GetData(stripe, jb, s), jb);
-        }
+      const int32_t odd_col = content_->ParityColumn(jb);
+      if (side == 0) {
+        content_->CopyBlock(stripe, odd_col, jb);
+      } else {
+        content_->CopyBlock(stripe, jb, odd_col);
       }
     }
     auto advance = [this, stripe](bool) {

@@ -171,9 +171,7 @@ void ParityLogController::UpdateContentForWrite(uint64_t request_id,
   }
   // The images are durable, so the parity information is always live: the
   // content model tracks the post-replay parity directly.
-  parity_scratch_.resize(static_cast<size_t>(count));
-  content_->XorOfDataRange(seg.stripe, first, count, parity_scratch_.data());
-  content_->SetParityRange(seg.stripe, first, count, parity_scratch_.data());
+  content_->RefreshParity(seg.stripe, first, count);
 }
 
 void ParityLogController::WriteSegment(uint64_t request_id, const Segment& seg,
@@ -344,15 +342,11 @@ bool ParityLogController::ReplaceDisk(int32_t disk) {
     for (int64_t s : content_->TouchedStripes()) {
       for (int32_t j = 0; j < layout_->data_blocks_per_stripe(); ++j) {
         if (layout_->DataDisk(s, j) == disk) {
-          for (int32_t i = 0; i < content_->sectors_per_unit(); ++i) {
-            content_->SetData(s, j, i, 0);
-          }
+          content_->ZeroBlock(s, j);
         }
       }
       if (layout_->ParityDisk(s) == disk) {
-        for (int32_t i = 0; i < content_->sectors_per_unit(); ++i) {
-          content_->SetParity(s, i, 0);
-        }
+        content_->ZeroBlock(s, content_->ParityColumn());
       }
     }
   }
@@ -406,16 +400,10 @@ void ParityLogController::ReconstructNextStripe(int64_t stripe) {
     // Logical recovery first, under the lock. Parity is always live (the
     // images are durable), so both directions are exact: no loss mode.
     if (content_ != nullptr) {
-      const int32_t spu = content_->sectors_per_unit();
       if (j_target >= 0) {
-        for (int32_t s = 0; s < spu; ++s) {
-          content_->SetData(stripe, j_target, s,
-                            content_->ReconstructData(stripe, j_target, s));
-        }
+        content_->ReconstructBlock(stripe, j_target);
       } else {
-        parity_scratch_.resize(static_cast<size_t>(spu));
-        content_->XorOfDataAll(stripe, parity_scratch_.data());
-        content_->SetParityRange(stripe, 0, spu, parity_scratch_.data());
+        content_->RefreshParity(stripe);
       }
     }
     auto advance = [this, stripe](bool) {

@@ -154,7 +154,6 @@ class ParityLogController : public ArrayScheme {
   std::vector<Segment> split_scratch_;  // Consumed synchronously per request.
   std::vector<StalledWrite> stalled_;   // Writes waiting for replay.
   std::vector<StalledWrite> runnable_scratch_;
-  std::vector<uint64_t> parity_scratch_;  // Batched parity recompute.
 
   // Failure machinery (same state machine as the other schemes).
   int32_t failed_disk_ = -1;

@@ -74,6 +74,17 @@ bool Raid6Controller::StripeFullyConsistent(int64_t stripe) const {
   return true;
 }
 
+void Raid6Controller::RefreshQ(int64_t stripe) {
+  // A stripe the content model does not store is all zero, Q included.
+  if (!content_->Stores(stripe)) {
+    return;
+  }
+  const int32_t n = layout_->data_blocks_per_stripe();
+  for (int32_t s = 0; s < content_->sectors_per_unit(); ++s) {
+    content_->SetParity(stripe, s, QOfData(*content_, stripe, n, s), 1);
+  }
+}
+
 void Raid6Controller::UpdateExposure() {
   const double stripe_bytes =
       static_cast<double>(layout_->data_blocks_per_stripe()) *
@@ -185,10 +196,11 @@ void Raid6Controller::DegradedReadSegment(const Segment& seg, JoinBlock* parent)
     const int32_t n = layout_->data_blocks_per_stripe();
     const bool p_fresh = !p_stale_.IsDirty(stripe);
     const bool q_fresh = !q_stale_.IsDirty(stripe);
-    // Reconstruct through P when it is live, through Q when only P is stale
-    // (same I/O count either way). With both stale the bytes returned are not
-    // what the client wrote; P is still read to model the attempt's traffic.
-    const int32_t parity_which = (p_fresh || !q_fresh) ? 0 : 1;
+    // Reconstruct through P. Q is stale wherever P is (q_stale_ is a superset
+    // of p_stale_), so P is stale only with both stale: then the bytes
+    // returned are not what the client wrote, and P is still read to model
+    // the attempt's traffic.
+    assert(p_fresh || !q_fresh);
     auto finish = [this, seg, stripe, p_fresh, q_fresh, parent](bool) {
       if (!p_fresh && !q_fresh) {
         RecordLoss(LossCause::kStaleParityDegradedRead, stripe, seg.length);
@@ -205,7 +217,7 @@ void Raid6Controller::DegradedReadSegment(const Segment& seg, JoinBlock* parent)
       IssueDiskOp(dl.disk, dl.byte_offset + seg.offset_in_block, seg.length,
                   /*is_write=*/false, [join](bool) { join->Dec(true); });
     }
-    const BlockLoc pl = layout_->ParityLocation(stripe, parity_which);
+    const BlockLoc pl = layout_->ParityLocation(stripe, 0);
     IssueDiskOp(pl.disk, pl.byte_offset + seg.offset_in_block, seg.length,
                 /*is_write=*/false, [join](bool) { join->Dec(true); });
   });
@@ -486,7 +498,7 @@ void Raid6Controller::RebuildStripe(int64_t stripe, JoinBlock* step_join) {
     const int64_t unit = layout_->stripe_unit();
     const bool p_needed = p_stale_.IsDirty(stripe);
 
-    auto writes = [this, stripe, unit, n, p_needed, step_join](bool) {
+    auto writes = [this, stripe, unit, p_needed, step_join](bool) {
       JoinBlock* join =
           joins_.Make(p_needed ? 2 : 1, [this, stripe, step_join](bool) {
             ClearStale(stripe);
@@ -498,23 +510,16 @@ void Raid6Controller::RebuildStripe(int64_t stripe, JoinBlock* step_join) {
         IssueDiskOp(pl.disk, pl.byte_offset, unit,
                     /*is_write=*/true, [this, stripe, join](bool ok) {
                       if (ok && content_ != nullptr) {
-                        const int32_t spu = content_->sectors_per_unit();
-                        parity_scratch_.resize(static_cast<size_t>(spu));
-                        content_->XorOfDataAll(stripe, parity_scratch_.data());
-                        content_->SetParityRange(stripe, 0, spu,
-                                                 parity_scratch_.data(), 0);
+                        content_->RefreshParity(stripe);
                       }
                       join->Dec(true);
                     });
       }
       const BlockLoc ql = layout_->ParityLocation(stripe, 1);
       IssueDiskOp(ql.disk, ql.byte_offset, unit,
-                  /*is_write=*/true, [this, stripe, n, join](bool ok) {
+                  /*is_write=*/true, [this, stripe, join](bool ok) {
                     if (ok && content_ != nullptr) {
-                      for (int32_t s = 0; s < content_->sectors_per_unit(); ++s) {
-                        content_->SetParity(stripe, s,
-                                            QOfData(*content_, stripe, n, s), 1);
-                      }
+                      RefreshQ(stripe);
                     }
                     join->Dec(true);
                   });
@@ -596,16 +601,11 @@ void Raid6Controller::DegradedWriteStripe(uint64_t request_id, int64_t stripe,
                             ContentModel::MixTag(request_id, logical_first + i));
         }
       }
-      const int32_t spu = content_->sectors_per_unit();
       if (p_avail) {
-        parity_scratch_.resize(static_cast<size_t>(spu));
-        content_->XorOfDataAll(stripe, parity_scratch_.data());
-        content_->SetParityRange(stripe, 0, spu, parity_scratch_.data(), 0);
+        content_->RefreshParity(stripe);
       }
       if (q_avail) {
-        for (int32_t s = 0; s < spu; ++s) {
-          content_->SetParity(stripe, s, QOfData(*content_, stripe, n, s), 1);
-        }
+        RefreshQ(stripe);
       }
     }
     if (p_avail) {
@@ -697,16 +697,12 @@ bool Raid6Controller::ReplaceDisk(int32_t disk) {
     for (int64_t s : content_->TouchedStripes()) {
       for (int32_t j = 0; j < layout_->data_blocks_per_stripe(); ++j) {
         if (layout_->DataDisk(s, j) == disk) {
-          for (int32_t i = 0; i < content_->sectors_per_unit(); ++i) {
-            content_->SetData(s, j, i, 0);
-          }
+          content_->ZeroBlock(s, j);
         }
       }
       for (int32_t w = 0; w < 2; ++w) {
         if (layout_->ParityDisk(s, w) == disk) {
-          for (int32_t i = 0; i < content_->sectors_per_unit(); ++i) {
-            content_->SetParity(s, i, 0, w);
-          }
+          content_->ZeroBlock(s, content_->ParityColumn(w));
         }
       }
     }
@@ -765,6 +761,9 @@ void Raid6Controller::ReconstructNextStripe(int64_t stripe) {
     assert((j_target >= 0) != (parity_target >= 0));
     const bool p_stale = p_stale_.IsDirty(stripe);
     const bool q_stale = q_stale_.IsDirty(stripe);
+    // q_stale_ is a superset of p_stale_, so a data block always rebuilds
+    // through P: either P is live, or both parities are stale.
+    assert(!p_stale || q_stale);
     // The sweep leaves every stripe behind the frontier fully redundant: it
     // rewrites the replaced disk's block plus any parity that was stale.
     const bool write_p = parity_target == 0 || p_stale;
@@ -778,40 +777,16 @@ void Raid6Controller::ReconstructNextStripe(int64_t stripe) {
     }
 
     // Logical recovery first, under the lock, in dependency order: the data
-    // block from a live parity, then the parities from the data.
+    // block from P, then the parities from the data.
     if (content_ != nullptr) {
-      const int32_t spu = content_->sectors_per_unit();
       if (j_target >= 0) {
-        if (p_stale && !q_stale) {
-          // Only Q is live: D_j = g^-j (Q ^ sum_{i != j} g^i D_i).
-          const uint8_t inv = Gf256::Inv(Gf256::Pow2(j_target));
-          for (int32_t s = 0; s < spu; ++s) {
-            uint64_t acc = content_->GetParity(stripe, s, 1);
-            for (int32_t i = 0; i < n; ++i) {
-              if (i == j_target) {
-                continue;
-              }
-              acc ^= Gf256::MulWord(content_->GetData(stripe, i, s),
-                                    Gf256::Pow2(i));
-            }
-            content_->SetData(stripe, j_target, s, Gf256::MulWord(acc, inv));
-          }
-        } else {
-          for (int32_t s = 0; s < spu; ++s) {
-            content_->SetData(stripe, j_target, s,
-                              content_->ReconstructData(stripe, j_target, s));
-          }
-        }
+        content_->ReconstructBlock(stripe, j_target);
       }
       if (write_p) {
-        parity_scratch_.resize(static_cast<size_t>(spu));
-        content_->XorOfDataAll(stripe, parity_scratch_.data());
-        content_->SetParityRange(stripe, 0, spu, parity_scratch_.data(), 0);
+        content_->RefreshParity(stripe);
       }
       if (write_q) {
-        for (int32_t s = 0; s < spu; ++s) {
-          content_->SetParity(stripe, s, QOfData(*content_, stripe, n, s), 1);
-        }
+        RefreshQ(stripe);
       }
     }
 
@@ -864,7 +839,7 @@ void Raid6Controller::ReconstructNextStripe(int64_t stripe) {
         IssueDiskOp(dl.disk, dl.byte_offset, unit,
                     /*is_write=*/false, [read_join](bool) { read_join->Dec(true); });
       }
-      const BlockLoc pl = layout_->ParityLocation(stripe, (!p_stale || q_stale) ? 0 : 1);
+      const BlockLoc pl = layout_->ParityLocation(stripe, 0);
       IssueDiskOp(pl.disk, pl.byte_offset, unit, /*is_write=*/false,
                   [read_join](bool) { read_join->Dec(true); });
     } else {

@@ -20,12 +20,14 @@
 // two NVRAM bitmaps (2 bits per stripe, vs AFRAID's 1).
 //
 // Failure machinery (ArrayScheme): single-disk failure with degraded reads
-// (reconstruct through P when fresh, through Q when only P is stale),
-// degraded writes that switch to synchronous full-stripe parity recompute,
-// and a replacement-disk reconstruction sweep that recomputes the target
-// from P, Q, or the surviving data as the stripe's layout dictates. A stripe
-// whose P *and* Q were both stale when the disk died is unrecoverable; the
-// machinery charges a LossEvent exactly as the AFRAID controller does.
+// (reconstruct through P), degraded writes that switch to synchronous
+// full-stripe parity recompute, and a replacement-disk reconstruction sweep
+// that recomputes a lost data block from P and the surviving data, or a lost
+// parity from the data. Every stripe with stale P also has stale Q (a write
+// marks Q alone or both, and Q goes fresh only once P is), so P is never
+// stale while Q is live. A stripe whose P *and* Q were both stale when the
+// disk died is unrecoverable; the machinery charges a LossEvent exactly as
+// the AFRAID controller does.
 
 #ifndef AFRAID_CORE_RAID6_CONTROLLER_H_
 #define AFRAID_CORE_RAID6_CONTROLLER_H_
@@ -116,7 +118,7 @@ class Raid6Controller : public ArrayScheme {
   void WriteStripeGroup(uint64_t request_id, int64_t stripe, Span<Segment> segs,
                         JoinBlock* group_join);
   // Degraded path: reconstructs one read segment from the surviving blocks
-  // and a live parity; runs `parent->Dec(true)` on completion.
+  // and P; runs `parent->Dec(true)` on completion.
   void DegradedReadSegment(const Segment& seg, JoinBlock* parent);
   // Degraded write: synchronous full-stripe P+Q recompute around the
   // unavailable disk (the RAID 6 analogue of AFRAID's forced RAID 5 mode).
@@ -134,6 +136,8 @@ class Raid6Controller : public ArrayScheme {
   void RebuildStripe(int64_t stripe, JoinBlock* step_join);
   void IssueDiskOp(int32_t disk, int64_t byte_offset, int64_t length, bool is_write,
                    DiskDone done);
+  // Content model: Q becomes the GF(256) syndrome of the data blocks.
+  void RefreshQ(int64_t stripe);
   void MarkStale(int64_t stripe, bool p, bool q);
   void ClearStale(int64_t stripe);
   void UpdateExposure();
@@ -158,7 +162,6 @@ class Raid6Controller : public ArrayScheme {
   VecPool<Segment> seg_pool_;
   VecPool<uint64_t> u64_pool_;
   std::vector<Segment> read_split_scratch_;  // DoRead (synchronous).
-  std::vector<uint64_t> parity_scratch_;     // Batched parity recompute.
 
   int32_t outstanding_clients_ = 0;
   bool rebuilding_ = false;

@@ -2,12 +2,15 @@
 // map-of-vectors semantics: a randomized op sequence is replayed against a
 // tiny reference implementation (kept here, mirroring the pre-flattening
 // code) and every observable -- Get/Set, XorOfData, ReconstructData,
-// StripeConsistent, TouchedStripes -- must agree exactly.
+// StripeConsistent, TouchedStripes -- must agree exactly. The whole-unit
+// operations are checked against the per-sector compositions they replace.
 
 #include "array/content.h"
 
 #include <algorithm>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,7 +21,9 @@ namespace afraid {
 namespace {
 
 // The original sparse representation: stripe -> one vector holding all
-// (N + P) * sectors_per_unit values, block-major.
+// (N + P) * sectors_per_unit values, block-major. Like the model, it keeps
+// zero implicit: a zero written into a stripe it does not hold stores
+// nothing.
 class ReferenceContentModel {
  public:
   ReferenceContentModel(int32_t n, int32_t pb, int32_t spu)
@@ -79,6 +84,9 @@ class ReferenceContentModel {
   void Set(int64_t stripe, int32_t slot, int32_t sector, uint64_t v) {
     auto it = stripes_.find(stripe);
     if (it == stripes_.end()) {
+      if (v == 0) {
+        return;
+      }
       it = stripes_.emplace(stripe, std::vector<uint64_t>(
                                         static_cast<size_t>(n_ + pb_) * spu_, 0)).first;
     }
@@ -124,6 +132,8 @@ TEST(ContentModelEquivalence, RandomizedOpSequenceMatchesReference) {
         model.SetData(stripe, j, sector, v);
         ref.SetData(stripe, j, sector, v);
       } else if (roll < 0.5) {
+        // XorOfData of a stripe neither holds is a zero write into an absent
+        // stripe, which must store nothing in both.
         const uint64_t v = rng.Bernoulli(0.3) ? ref.XorOfData(stripe, sector)
                                               : static_cast<uint64_t>(step);
         model.SetParity(stripe, sector, v);
@@ -184,63 +194,170 @@ TEST(ContentModel, UntouchedStripesAreZeroAndConsistent) {
   EXPECT_TRUE(m.TouchedStripes().empty());
 }
 
-// The word-batched parity sweep against the per-sector primitives it
-// replaces: XorOfDataRange must equal XorOfData at each sector, and
-// SetParityRange must store exactly what per-sector SetParity would.
-TEST(ContentModel, BatchedXorMatchesPerSectorReference) {
-  ContentModel m(4, 2, 8);
-  Rng rng(2026);
-  for (int64_t stripe = 0; stripe < 40; ++stripe) {
-    // A mix of untouched, sparsely touched, and fully written stripes.
-    const int writes = static_cast<int>(rng.UniformInt(0, 20));
-    for (int w = 0; w < writes; ++w) {
-      m.SetData(stripe, static_cast<int32_t>(rng.UniformInt(0, 3)),
-                static_cast<int32_t>(rng.UniformInt(0, 7)),
-                rng.UniformInt(1, 1 << 30));
-    }
-  }
-  std::vector<uint64_t> batch(8);
-  for (int64_t stripe = -3; stripe < 45; ++stripe) {
-    for (int32_t first = 0; first < 8; ++first) {
-      for (int32_t count = 1; count <= 8 - first; ++count) {
-        m.XorOfDataRange(stripe, first, count, batch.data());
-        for (int32_t i = 0; i < count; ++i) {
-          ASSERT_EQ(batch[i], m.XorOfData(stripe, first + i))
-              << "stripe " << stripe << " sector " << (first + i);
+TEST(ContentModel, ZeroWritesIntoAbsentStripesStoreNothing) {
+  ContentModel m(4, 1, 8);
+  m.SetData(7, 2, 3, 0);
+  m.SetParity(9, 5, 0);
+  EXPECT_TRUE(m.TouchedStripes().empty());
+  EXPECT_FALSE(m.Stores(7));
+  EXPECT_FALSE(m.Stores(9));
+  EXPECT_EQ(m.GetData(7, 2, 3), 0u);
+  EXPECT_EQ(m.GetParity(9, 5), 0u);
+  // A nonzero write stores the stripe; zeroing it again keeps it stored.
+  m.SetData(7, 2, 3, 11);
+  m.SetData(7, 2, 3, 0);
+  EXPECT_TRUE(m.Stores(7));
+  EXPECT_EQ(m.TouchedStripes(), (std::vector<int64_t>{7}));
+  EXPECT_EQ(m.GetData(7, 2, 3), 0u);
+}
+
+// The whole-unit operations against the per-sector Get/Set compositions they
+// replace, on model shapes (data blocks, parity blocks) = RAID 5 (4, 1),
+// RAID 6 (3, 2) and the mirror's (2, 2). Stripes 0..kStripes-1 cycle through
+// absent, sparsely written and fully written; stripe -1 is never written.
+class UnitOpTest : public ::testing::TestWithParam<std::pair<int32_t, int32_t>> {
+ protected:
+  static constexpr int32_t kSpu = 8;
+  static constexpr int64_t kStripes = 12;
+
+  UnitOpTest()
+      : n_(GetParam().first),
+        pb_(GetParam().second),
+        unit_(n_, pb_, kSpu),
+        oracle_(n_, pb_, kSpu) {
+    Rng rng(static_cast<uint64_t>(n_ * 10 + pb_));
+    for (int64_t stripe = 0; stripe < kStripes; ++stripe) {
+      const int64_t kind = stripe % 3;  // 0 absent, 1 sparse, 2 full.
+      if (kind == 0) {
+        continue;
+      }
+      for (int32_t col = 0; col < n_ + pb_; ++col) {
+        for (int32_t s = 0; s < kSpu; ++s) {
+          if (kind == 1 && !rng.Bernoulli(0.15)) {
+            continue;
+          }
+          const uint64_t v = rng.UniformInt(1, 1LL << 40);
+          Store(&unit_, stripe, col, s, v);
+          Store(&oracle_, stripe, col, s, v);
         }
       }
     }
-    m.XorOfDataAll(stripe, batch.data());
-    for (int32_t s = 0; s < 8; ++s) {
-      ASSERT_EQ(batch[s], m.XorOfData(stripe, s));
+  }
+
+  void Store(ContentModel* m, int64_t stripe, int32_t col, int32_t s,
+             uint64_t v) const {
+    if (col < n_) {
+      m->SetData(stripe, col, s, v);
+    } else {
+      m->SetParity(stripe, s, v, col - n_);
     }
+  }
+  uint64_t Load(const ContentModel& m, int64_t stripe, int32_t col,
+                int32_t s) const {
+    return col < n_ ? m.GetData(stripe, col, s) : m.GetParity(stripe, s, col - n_);
+  }
+
+  // Every value of one stripe, and an absent stripe staying absent.
+  void ExpectSameStripe(const char* op, int64_t stripe) const {
+    EXPECT_EQ(unit_.Stores(stripe), stripe >= 0 && stripe % 3 != 0)
+        << op << ": stripe " << stripe;
+    for (int32_t col = 0; col < n_ + pb_; ++col) {
+      for (int32_t s = 0; s < kSpu; ++s) {
+        ASSERT_EQ(Load(unit_, stripe, col, s), Load(oracle_, stripe, col, s))
+            << op << ": stripe " << stripe << " column " << col << " sector " << s;
+      }
+    }
+  }
+
+  void ExpectSameModels(const char* op) const {
+    EXPECT_EQ(unit_.TouchedStripes(), oracle_.TouchedStripes()) << op;
+    for (int64_t stripe = -1; stripe < kStripes; ++stripe) {
+      ExpectSameStripe(op, stripe);
+    }
+  }
+
+  int32_t n_;
+  int32_t pb_;
+  ContentModel unit_;
+  ContentModel oracle_;
+};
+
+TEST_P(UnitOpTest, RefreshParityMatchesPerSectorStores) {
+  for (int64_t stripe = -1; stripe < kStripes; ++stripe) {
+    for (int32_t first = 0; first < kSpu; ++first) {
+      for (int32_t count = 0; count <= kSpu - first; ++count) {
+        unit_.RefreshParity(stripe, first, count);
+        for (int32_t s = first; s < first + count; ++s) {
+          oracle_.SetParity(stripe, s, oracle_.XorOfData(stripe, s));
+        }
+        ExpectSameStripe("RefreshParity range", stripe);
+      }
+    }
+    unit_.RefreshParity(stripe);
+    for (int32_t s = 0; s < kSpu; ++s) {
+      oracle_.SetParity(stripe, s, oracle_.XorOfData(stripe, s));
+    }
+  }
+  ExpectSameModels("RefreshParity");
+  for (int64_t stripe = 0; stripe < kStripes; ++stripe) {
+    EXPECT_TRUE(unit_.StripeConsistent(stripe));
   }
 }
 
-TEST(ContentModel, SetParityRangeMatchesPerSectorStores) {
-  for (int32_t which : {0, 1}) {
-    ContentModel batched(3, 2, 8);
-    ContentModel scalar(3, 2, 8);
-    Rng rng(17);
-    for (int step = 0; step < 200; ++step) {
-      const int64_t stripe = rng.UniformInt(-5, 30);  // Includes untouched.
-      const auto first = static_cast<int32_t>(rng.UniformInt(0, 7));
-      const auto count = static_cast<int32_t>(rng.UniformInt(1, 8 - first));
-      std::vector<uint64_t> vals(static_cast<size_t>(count));
-      for (uint64_t& v : vals) {
-        v = rng.UniformInt(0, 1 << 30);
-      }
-      batched.SetParityRange(stripe, first, count, vals.data(), which);
-      for (int32_t i = 0; i < count; ++i) {
-        scalar.SetParity(stripe, first + i, vals[static_cast<size_t>(i)], which);
-      }
-      for (int32_t s = 0; s < 8; ++s) {
-        ASSERT_EQ(batched.GetParity(stripe, s, which),
-                  scalar.GetParity(stripe, s, which));
+TEST_P(UnitOpTest, ReconstructBlockMatchesPerSectorStores) {
+  for (int64_t stripe = -1; stripe < kStripes; ++stripe) {
+    for (int32_t j = 0; j < n_; ++j) {
+      unit_.ReconstructBlock(stripe, j);
+      for (int32_t s = 0; s < kSpu; ++s) {
+        oracle_.SetData(stripe, j, s, oracle_.ReconstructData(stripe, j, s));
       }
     }
   }
+  ExpectSameModels("ReconstructBlock");
 }
+
+TEST_P(UnitOpTest, ZeroBlockMatchesPerSectorStores) {
+  for (int64_t stripe = -1; stripe < kStripes; ++stripe) {
+    const auto col = static_cast<int32_t>((stripe + 1) % (n_ + pb_));
+    unit_.ZeroBlock(stripe, col);
+    for (int32_t s = 0; s < kSpu; ++s) {
+      Store(&oracle_, stripe, col, s, 0);
+    }
+  }
+  ExpectSameModels("ZeroBlock");
+}
+
+TEST_P(UnitOpTest, CopyBlockMatchesPerSectorStores) {
+  for (int64_t stripe = -1; stripe < kStripes; ++stripe) {
+    for (int32_t from = 0; from < n_ + pb_; ++from) {
+      const int32_t to = (from + 1 + static_cast<int32_t>(stripe & 1)) % (n_ + pb_);
+      unit_.CopyBlock(stripe, from, to);
+      for (int32_t s = 0; s < kSpu; ++s) {
+        Store(&oracle_, stripe, to, s, Load(oracle_, stripe, from, s));
+      }
+    }
+  }
+  ExpectSameModels("CopyBlock");
+}
+
+TEST_P(UnitOpTest, ParityColumnFollowsTheDataBlocks) {
+  for (int32_t w = 0; w < pb_; ++w) {
+    EXPECT_EQ(unit_.ParityColumn(w), n_ + w);
+  }
+  unit_.SetParity(1, 3, 99, pb_ - 1);
+  EXPECT_EQ(Load(unit_, 1, unit_.ParityColumn(pb_ - 1), 3), 99u);
+}
+
+std::string ShapeName(
+    const ::testing::TestParamInfo<std::pair<int32_t, int32_t>>& info) {
+  return std::to_string(info.param.first) + "data" +
+         std::to_string(info.param.second) + "parity";
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, UnitOpTest,
+                         ::testing::Values(std::make_pair(4, 1), std::make_pair(3, 2),
+                                           std::make_pair(2, 2)),
+                         ShapeName);
 
 TEST(ContentModel, TouchedStripesReportsFirstTouchOrder) {
   ContentModel m(2, 1, 2);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -143,8 +144,22 @@ TEST_P(SchemeFailureTest, FailDegradedRepairReconstructRoundTrip) {
     ExpectBlock(offset, tag);
   }
 
-  // The rebuilt redundancy itself is coherent again.
+  // The model stores exactly the stripes the client wrote: the sweep visits
+  // every stripe of the replaced disk, but rebuilding a never-written stripe
+  // leaves it implicitly zero instead of storing it.
   const ContentModel* cm = ctl_->content();
+  const ArrayLayout& lay = ctl_->layout();
+  std::vector<int64_t> seeded;
+  for (const auto& [offset, tag] : blocks) {
+    seeded.push_back(offset / lay.stripe_unit() / lay.data_blocks_per_stripe());
+  }
+  std::sort(seeded.begin(), seeded.end());
+  seeded.erase(std::unique(seeded.begin(), seeded.end()), seeded.end());
+  std::vector<int64_t> stored = cm->TouchedStripes();
+  std::sort(stored.begin(), stored.end());
+  EXPECT_EQ(stored, seeded);
+
+  // The rebuilt redundancy itself is coherent again.
   for (int64_t stripe : cm->TouchedStripes()) {
     if (scheme_ == "mirror") {
       // Parity slot j holds the twin copy of data block j.
