@@ -2,6 +2,10 @@
 # Regenerates every pinned artifact in one command:
 #   * tests/golden/trace_replay_cello-usr_2000.txt -- the golden replay
 #     transcript CI diffs byte-for-byte against a fresh run;
+#   * tests/golden/fleet_failure_grid_8000.txt -- the fleet failure grid:
+#     `fleet_service --layout L S 8000` for every scheme `fleet_service list`
+#     prints, on both layouts, each run under a `## <scheme> <layout>` header
+#     (the only pinned output that fails and rebuilds every scheme);
 #   * BENCH_engine.json -- the micro-benchmark baseline the CI bench gate
 #     compares hot-path timings to (loose factor, Release build);
 #   * BENCH_rebuild.json -- the declustering rebuild comparison (window,
@@ -38,12 +42,21 @@ trap cleanup EXIT
 
 echo "== configuring Release build in $build"
 cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build "$build" -j --target trace_replay bench_micro_engine \
-    bench_rebuild_decluster >/dev/null
+cmake --build "$build" -j --target trace_replay fleet_service \
+    bench_micro_engine bench_rebuild_decluster >/dev/null
 
 echo "== regenerating tests/golden/trace_replay_cello-usr_2000.txt"
 "$build/examples/trace_replay" cello-usr 2000 \
     > "$stage/trace_replay_cello-usr_2000.txt"
+
+echo "== regenerating tests/golden/fleet_failure_grid_8000.txt"
+# Same runs, order and headers as CI's fleet failure grid step.
+for s in $("$build/examples/fleet_service" list | awk '{print $1}'); do
+  for layout in left-symmetric declustered; do
+    echo "## $s $layout"
+    AFRAID_BENCH_THREADS=1 "$build/examples/fleet_service" --layout "$layout" "$s" 8000
+  done
+done > "$stage/fleet_failure_grid_8000.txt"
 
 echo "== regenerating BENCH_engine.json (Release micro-bench baseline)"
 "$build/bench/bench_micro_engine" \
@@ -73,6 +86,8 @@ AFRAID_REBUILD_JSON="$stage/BENCH_rebuild.json" \
 # guaranteed, so mv may copy -- but only after all generators have passed).
 mv "$stage/trace_replay_cello-usr_2000.txt" \
    "$repo/tests/golden/trace_replay_cello-usr_2000.txt"
+mv "$stage/fleet_failure_grid_8000.txt" \
+   "$repo/tests/golden/fleet_failure_grid_8000.txt"
 mv "$stage/BENCH_engine.json" "$repo/BENCH_engine.json"
 mv "$stage/BENCH_rebuild.json" "$repo/BENCH_rebuild.json"
 
