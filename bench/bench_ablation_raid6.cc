@@ -48,7 +48,7 @@ Row RunMode(Raid6Mode mode, const Trace& trace) {
   sim.RunToEnd();
   Row row;
   row.mean_ms = driver.AllLatencies().Mean();
-  row.disk_ops = ctl.DiskOpsIssued();
+  row.disk_ops = ctl.TotalDiskOps();
   row.t_q_stale = ctl.TQStaleFraction();
   row.t_both_stale = ctl.TBothStaleFraction();
   return row;

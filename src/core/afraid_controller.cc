@@ -5,60 +5,24 @@
 #include <utility>
 
 #include "array/decluster.h"
+#include "disk/geometry.h"
 
 namespace afraid {
-
-const char* DiskOpPurposeName(DiskOpPurpose purpose) {
-  switch (purpose) {
-    case DiskOpPurpose::kClientRead:
-      return "client read";
-    case DiskOpPurpose::kClientWrite:
-      return "client write";
-    case DiskOpPurpose::kOldDataRead:
-      return "old-data read";
-    case DiskOpPurpose::kOldParityRead:
-      return "old-parity read";
-    case DiskOpPurpose::kParityWrite:
-      return "parity write";
-    case DiskOpPurpose::kReconstructRead:
-      return "reconstruct read";
-    case DiskOpPurpose::kRebuildRead:
-      return "rebuild read";
-    case DiskOpPurpose::kRebuildWrite:
-      return "rebuild write";
-    case DiskOpPurpose::kRecoveryRead:
-      return "recovery read";
-    case DiskOpPurpose::kRecoveryWrite:
-      return "recovery write";
-    case DiskOpPurpose::kNumPurposes:
-      break;
-  }
-  return "unknown";
-}
-
-const char* LossCauseName(LossCause cause) {
-  switch (cause) {
-    case LossCause::kStaleParityDegradedRead:
-      return "stale-parity degraded read";
-    case LossCause::kStaleParityReconstruction:
-      return "stale-parity reconstruction";
-  }
-  return "unknown";
-}
 
 AfraidController::AfraidController(Simulator* sim, const ArrayConfig& config,
                                    std::unique_ptr<ParityPolicy> policy,
                                    const AvailabilityParams& avail_params, Probe probe)
-    : sim_(sim),
+    : ArrayScheme(sim, config.disk_spec, config.num_disks,
+                  MakeLayout(config.layout, config.num_disks,
+                             config.stripe_unit_bytes,
+                             DiskGeometry(config.disk_spec.zones, config.disk_spec.heads,
+                                          config.disk_spec.sector_bytes)
+                                 .CapacityBytes(),
+                             config.parity_blocks, config.decluster_width),
+                  ContentShape{config.track_content, config.parity_blocks}, probe),
       cfg_(config),
       policy_(std::move(policy)),
       avail_params_(avail_params),
-      layout_(MakeLayout(config.layout, config.num_disks,
-                         config.stripe_unit_bytes,
-                         DiskGeometry(config.disk_spec.zones, config.disk_spec.heads,
-                                      config.disk_spec.sector_bytes)
-                             .CapacityBytes(),
-                         config.parity_blocks, config.decluster_width)),
       nvram_(layout_->num_stripes() * config.marks_per_stripe),
       read_cache_(config.read_cache_bytes, config.stripe_unit_bytes),
       staging_(config.write_staging_bytes, config.stripe_unit_bytes),
@@ -66,29 +30,15 @@ AfraidController::AfraidController(Simulator* sim, const ArrayConfig& config,
       unprot_bytes_(sim->Now()),
       busy_clients_(sim->Now()) {
   assert(cfg_.parity_blocks == 1);  // RAID 6 lives in Raid6Controller.
-  assert(cfg_.stripe_unit_bytes % cfg_.disk_spec.sector_bytes == 0);
   assert(cfg_.marks_per_stripe >= 1);
   // Bands must be sector-aligned on every block.
   assert((cfg_.stripe_unit_bytes / cfg_.disk_spec.sector_bytes) %
              cfg_.marks_per_stripe ==
          0);
-  const auto mechanics = DiskMechanics::Compile(cfg_.disk_spec);
-  for (int32_t d = 0; d < cfg_.num_disks; ++d) {
-    const Probe disk_probe = probe.NewTrack("disk" + std::to_string(d));
-    disk_probes_.push_back(disk_probe);
-    disks_.push_back(std::make_unique<DiskModel>(sim_, mechanics, d, disk_probe));
-  }
-  ctrl_probe_ = probe.NewTrack("controller");
-  rebuild_probe_ = probe.NewTrack("rebuild");
-  if (cfg_.track_content) {
-    content_ = std::make_unique<ContentModel>(
-        layout_->data_blocks_per_stripe(), layout_->parity_blocks(),
-        static_cast<int32_t>(cfg_.stripe_unit_bytes / cfg_.disk_spec.sector_bytes));
-  }
   idle_detector_ = std::make_unique<IdleDetector>(sim_, cfg_.idle_delay, [this] {
     // The array has been completely idle for the configured delay: start
     // processing pending parity updates if the policy permits.
-    if (rebuilding_ || scrub_active_ || reconstruction_active_ || failed_disk_ >= 0 ||
+    if (rebuilding_ || scrub_active_ || reconstruction_active() || failed_disk() >= 0 ||
         nvram_.failed() || nvram_.DirtyCount() == 0) {
       return;
     }
@@ -111,27 +61,19 @@ AfraidController::AfraidController(Simulator* sim, const ArrayConfig& config,
 
 AfraidController::~AfraidController() = default;
 
-uint64_t AfraidController::TotalDiskOps() const {
-  uint64_t total = 0;
-  for (uint64_t c : disk_ops_) {
-    total += c;
-  }
-  return total;
-}
-
 std::string AfraidController::PolicyLabel() const { return policy_->Name(); }
 
 SchemeState AfraidController::State() const {
   SchemeState st;
-  st.failed_disk = failed_disk_;
-  st.recovering_disk = recovering_disk_;
-  st.reconstruction_active = reconstruction_active_;
+  st.failed_disk = failed_disk();
+  st.recovering_disk = recovering_disk();
+  st.reconstruction_active = reconstruction_active();
   st.rebuild_active = rebuilding_;
   st.dirty_marks = nvram_.DirtyCount();
   st.parity_lag_bytes = CurrentParityLagBytes();
   st.last_write_raid5 = last_write_raid5_;
-  st.loss_events = loss_events_;
-  st.bytes_lost = bytes_lost_;
+  st.loss_events = LossEvents();
+  st.bytes_lost = BytesLost();
   return st;
 }
 
@@ -152,8 +94,8 @@ SchemeStats AfraidController::Stats() const {
                       DiskOps(DiskOpPurpose::kOldParityRead);
   s.cache_hits = CacheHits();
   s.idle_fraction = IdleFraction();
-  s.loss_events = loss_events_;
-  s.bytes_lost = bytes_lost_;
+  s.loss_events = LossEvents();
+  s.bytes_lost = BytesLost();
   return s;
 }
 
@@ -272,54 +214,6 @@ bool AfraidController::WantRaid5Write() {
   return policy_->UseRaid5Write(MakePolicyContext());
 }
 
-void AfraidController::RecordLoss(LossCause cause, int64_t stripe, int64_t bytes) {
-  assert(bytes > 0);
-  ++loss_events_;
-  bytes_lost_ += bytes;
-  if (ctrl_probe_) {
-    ctrl_probe_.Instant(std::string("data loss: ") + LossCauseName(cause), sim_->Now());
-  }
-  if (loss_listener_) {
-    LossEvent ev;
-    ev.time = sim_->Now();
-    ev.cause = cause;
-    ev.stripe = stripe;
-    ev.bytes = bytes;
-    loss_listener_(ev);
-  }
-}
-
-void AfraidController::IssueDiskOp(int32_t disk, int64_t byte_offset, int64_t length,
-                                   bool is_write, DiskOpPurpose purpose,
-                                   DiskDone done) {
-  assert(disk >= 0 && disk < cfg_.num_disks);
-  const int32_t sector = cfg_.disk_spec.sector_bytes;
-  assert(byte_offset % sector == 0);
-  assert(length > 0 && length % sector == 0);
-  ++disk_ops_[static_cast<size_t>(purpose)];
-  DiskOp op;
-  op.lba = byte_offset / sector;
-  op.sectors = static_cast<int32_t>(length / sector);
-  op.is_write = is_write;
-  const Probe disk_probe =
-      disk_probes_.empty() ? Probe() : disk_probes_[static_cast<size_t>(disk)];
-  if (disk_probe) {
-    disks_[static_cast<size_t>(disk)]->Submit(
-        op,
-        [disk_probe, purpose, done = std::move(done)](const DiskOpResult& r) mutable {
-          if (r.ok) {
-            // Emitted at completion, so per-track spans are ordered by finish
-            // time (tests/obs asserts this invariant).
-            disk_probe.Complete(DiskOpPurposeName(purpose), r.service_start, r.finish);
-          }
-          done(r.ok);
-        });
-  } else {
-    disks_[static_cast<size_t>(disk)]->Submit(
-        op, [done = std::move(done)](const DiskOpResult& r) mutable { done(r.ok); });
-  }
-}
-
 // --- Client entry point -------------------------------------------------------
 
 void AfraidController::Submit(const ClientRequest& request, RequestDone done) {
@@ -339,15 +233,9 @@ void AfraidController::Submit(const ClientRequest& request, RequestDone done) {
 // --- Reads ----------------------------------------------------------------------
 
 void AfraidController::DoRead(const ClientRequest& r, RequestDone done) {
-  // Planned requests carry their precompiled Split(); unplanned ones split
-  // into the scratch, which is only read within this synchronous loop (every
-  // continuation captures its Segment by value).
-  Span<Segment> segs{r.plan_segs, r.plan_seg_count};
-  if (r.plan_segs == nullptr) {
-    layout_->SplitInto(r.offset, r.size, &read_split_scratch_);
-    segs = Span<Segment>{read_split_scratch_.data(),
-                         static_cast<int32_t>(read_split_scratch_.size())};
-  }
+  // Every continuation captures its Segment by value, so scratch segments
+  // are only read within this synchronous loop.
+  const Span<Segment> segs = SegmentsOf(r);
   JoinBlock* join = joins_.Make(segs.count,
                                 [this, done = std::move(done)](bool) mutable {
                                   done();
@@ -355,10 +243,7 @@ void AfraidController::DoRead(const ClientRequest& r, RequestDone done) {
                                 });
   for (const Segment& seg : segs) {
     const int32_t disk = layout_->DataDisk(seg.stripe, seg.block_in_stripe);
-    const bool need_degraded =
-        disk == failed_disk_ ||
-        (disk == recovering_disk_ && seg.stripe >= recovery_frontier_);
-    if (need_degraded) {
+    if (DiskUnavailable(disk, seg.stripe)) {
       DegradedReadSegment(seg, join);
       continue;
     }
@@ -465,8 +350,8 @@ void AfraidController::RunStripeWriteGroup(uint64_t request_id, int64_t stripe,
                                            Span<Segment> segs, int32_t attempt,
                                            JoinBlock* group_join) {
   const bool degraded =
-      failed_disk_ >= 0 ||
-      (recovering_disk_ >= 0 && stripe >= recovery_frontier_);
+      failed_disk() >= 0 ||
+      (recovering_disk() >= 0 && stripe >= recovery_frontier());
   // Per-region redundancy classes (Section 5) override the policy.
   const RedundancyClass cls = RegionClassOf(stripe);
   if (!degraded && cls == RedundancyClass::kAlwaysAfraid) {
@@ -617,8 +502,8 @@ void AfraidController::Raid5WriteGroup(uint64_t request_id, int64_t stripe,
     // Otherwise pick reconstruct-write when the group touches more than the
     // configured fraction of the stripe.
     const bool degraded =
-        failed_disk_ >= 0 ||
-        (recovering_disk_ >= 0 && stripe >= recovery_frontier_);
+        failed_disk() >= 0 ||
+        (recovering_disk() >= 0 && stripe >= recovery_frontier());
     const bool reconstruct =
         !full_stripe &&
         (dirty || degraded ||
@@ -680,7 +565,7 @@ void AfraidController::WriteFullStripe(uint64_t request_id, int64_t stripe,
   });
   for (const Segment& seg : segs) {
     const BlockLoc dl = layout_->DataLocation(stripe, seg.block_in_stripe);
-    if (dl.disk == failed_disk_) {
+    if (dl.disk == failed_disk()) {
       // The data lives on implicitly via parity (degraded full-stripe write).
       sim_->After(0, [join] { join->Dec(true); });
       continue;
@@ -694,7 +579,7 @@ void AfraidController::WriteFullStripe(uint64_t request_id, int64_t stripe,
                 });
   }
   const BlockLoc pl = layout_->ParityLocation(stripe);
-  if (pl.disk == failed_disk_) {
+  if (pl.disk == failed_disk()) {
     sim_->After(0, [join] { join->Dec(true); });
   } else {
     IssueDiskOp(pl.disk, pl.byte_offset, unit, /*is_write=*/true, DiskOpPurpose::kParityWrite,
@@ -761,7 +646,7 @@ void AfraidController::ReconstructWrite(uint64_t request_id, int64_t stripe,
     });
     for (const Segment& seg : segs) {
       const BlockLoc dl = layout_->DataLocation(stripe, seg.block_in_stripe);
-      if (dl.disk == failed_disk_) {
+      if (dl.disk == failed_disk()) {
         sim_->After(0, [join] { join->Dec(true); });
         continue;
       }
@@ -775,7 +660,7 @@ void AfraidController::ReconstructWrite(uint64_t request_id, int64_t stripe,
                   });
     }
     const BlockLoc pl = layout_->ParityLocation(stripe);
-    if (pl.disk == failed_disk_) {
+    if (pl.disk == failed_disk()) {
       sim_->After(0, [join] { join->Dec(true); });
     } else {
       IssueDiskOp(pl.disk, pl.byte_offset, unit2, /*is_write=*/true,
@@ -797,7 +682,7 @@ void AfraidController::ReconstructWrite(uint64_t request_id, int64_t stripe,
     const Segment* seg = by_block_scratch_[static_cast<size_t>(j)];
     const bool fully = seg != nullptr && seg->length == unit;
     const int32_t disk = layout_->DataDisk(stripe, j);
-    if (!fully && disk != failed_disk_) {
+    if (!fully && disk != failed_disk()) {
       ++reads_needed;
     }
   }
@@ -810,7 +695,7 @@ void AfraidController::ReconstructWrite(uint64_t request_id, int64_t stripe,
     const Segment* seg = by_block_scratch_[static_cast<size_t>(j)];
     const bool fully = seg != nullptr && seg->length == unit;
     const BlockLoc dl = layout_->DataLocation(stripe, j);
-    if (fully || dl.disk == failed_disk_) {
+    if (fully || dl.disk == failed_disk()) {
       continue;
     }
     IssueDiskOp(dl.disk, dl.byte_offset, unit, /*is_write=*/false,
@@ -926,7 +811,7 @@ void AfraidController::ReadModifyWrite(uint64_t request_id, int64_t stripe,
 // --- Background parity rebuild ---------------------------------------------------
 
 void AfraidController::TriggerRebuildCheck() {
-  if (rebuilding_ || scrub_active_ || reconstruction_active_ || failed_disk_ >= 0 ||
+  if (rebuilding_ || scrub_active_ || reconstruction_active() || failed_disk() >= 0 ||
       nvram_.failed() || nvram_.DirtyCount() == 0) {
     return;
   }
@@ -997,7 +882,7 @@ int64_t AfraidController::PickRebuildableKey(int64_t from) const {
 
 void AfraidController::RebuildNext() {
   assert(rebuilding_);
-  if (failed_disk_ >= 0 || nvram_.failed()) {
+  if (failed_disk() >= 0 || nvram_.failed()) {
     EndRebuildPass();
     return;
   }
@@ -1133,182 +1018,77 @@ void AfraidController::RebuildAll(std::function<void()> done) {
   TriggerRebuildCheck();
 }
 
-// --- Failure injection & recovery ---------------------------------------------------
+// --- Failure recovery -------------------------------------------------------------
 
-bool AfraidController::FailDisk(int32_t disk) {
-  if (disk < 0 || disk >= cfg_.num_disks || failed_disk_ >= 0 ||
-      recovering_disk_ >= 0) {
-    return false;
-  }
-  failed_disk_ = disk;
-  disks_[static_cast<size_t>(disk)]->Fail();
-  if (ctrl_probe_) {
-    ctrl_probe_.Instant("fail disk" + std::to_string(disk), sim_->Now());
-  }
-  return true;
-}
+void AfraidController::ReconstructStripe(int64_t stripe, int32_t column) {
+  const int32_t n = layout_->data_blocks_per_stripe();
+  const int64_t unit = layout_->stripe_unit();
 
-bool AfraidController::ReplaceDisk(int32_t disk) {
-  if (disk != failed_disk_ || disk < 0) {
-    return false;
-  }
-  disks_[static_cast<size_t>(disk)]->Replace();
-  failed_disk_ = -1;
-  recovering_disk_ = disk;
-  recovery_frontier_ = 0;
-  if (ctrl_probe_) {
-    ctrl_probe_.Instant("replace disk" + std::to_string(disk), sim_->Now());
-  }
-  // The replacement mechanism is blank; model its contents as zeroes.
-  if (content_ != nullptr) {
-    for (int64_t s : content_->TouchedStripes()) {
-      for (int32_t j = 0; j < layout_->data_blocks_per_stripe(); ++j) {
-        if (layout_->DataDisk(s, j) == disk) {
-          content_->ZeroBlock(s, j);
-        }
-      }
-      if (layout_->ParityDisk(s) == disk) {
-        content_->ZeroBlock(s, content_->ParityColumn());
-      }
-    }
-  }
-  return true;
-}
-
-bool AfraidController::StartReconstruction(std::function<void()> done) {
-  if (recovering_disk_ < 0 || reconstruction_active_) {
-    return false;
-  }
-  reconstruction_active_ = true;
-  reconstruction_done_ = std::move(done);
-  if (rebuild_probe_) {
-    rebuild_probe_.AsyncBegin("reconstruction", 1, sim_->Now());
-  }
-  ReconstructNextStripe(0);
-  return true;
-}
-
-void AfraidController::ReconstructNextStripe(int64_t stripe) {
-  // Declustered layouts place only some stripes on any given disk; stripes
-  // without a unit on the replaced disk need no work (and do not count as
-  // rebuilt). Left-symmetric layouts never skip.
-  while (stripe < layout_->num_stripes() &&
-         !layout_->StripeUsesDisk(stripe, recovering_disk_)) {
-    ++stripe;
-  }
-  if (stripe >= layout_->num_stripes()) {
-    reconstruction_active_ = false;
-    recovering_disk_ = -1;
-    recovery_frontier_ = 0;
-    if (rebuild_probe_) {
-      rebuild_probe_.AsyncEnd("reconstruction", 1, sim_->Now());
-    }
-    auto done = std::move(reconstruction_done_);
-    if (done) {
-      done();
-    }
-    TriggerRebuildCheck();
-    return;
-  }
-  const int32_t target = recovering_disk_;
-  locks_.Acquire(stripe, LockMode::kExclusive, [this, stripe, target] {
-    const int32_t n = layout_->data_blocks_per_stripe();
-    const int64_t unit = layout_->stripe_unit();
-    const int32_t pd = layout_->ParityDisk(stripe);
-
-    auto advance = [this, stripe](bool) {
-      recovery_frontier_ = stripe + 1;
-      locks_.Release(stripe, LockMode::kExclusive);
-      ReconstructNextStripe(stripe + 1);
-    };
-
-    if (pd == target) {
-      // The replaced disk held this stripe's parity: recompute from data.
-      // Note this is lossless even for a dirty stripe.
-      const BlockLoc ploc = layout_->ParityLocation(stripe);
-      auto write = [this, stripe, unit, ploc, advance](bool ok) {
-        if (!ok) {
-          advance(false);
-          return;
-        }
-        IssueDiskOp(ploc.disk, ploc.byte_offset, unit, /*is_write=*/true,
-                    DiskOpPurpose::kRecoveryWrite, [this, stripe, advance](bool ok2) {
-                      if (ok2) {
-                        if (content_ != nullptr) {
-                          content_->RefreshParity(stripe);
-                        }
-                        ClearAllBands(stripe);
-                      }
-                      advance(ok2);
-                    });
-      };
-      JoinBlock* join = joins_.Make(n, std::move(write));
-      for (int32_t j = 0; j < n; ++j) {
-        const BlockLoc dl = layout_->DataLocation(stripe, j);
-        IssueDiskOp(dl.disk, dl.byte_offset, unit,
-                    /*is_write=*/false, DiskOpPurpose::kRecoveryRead,
-                    [join](bool ok) { join->Dec(ok); });
-      }
-      return;
-    }
-
-    // The replaced disk held a data block: rebuild it as the xor of the
-    // other data blocks and the parity. If the stripe's parity was stale at
-    // failure time, the xor is *not* the lost data -- that block is gone
-    // (the Section 3.2 small-loss mode); we record it and move on.
-    int32_t j_target = -1;
-    for (int32_t j = 0; j < n; ++j) {
-      if (layout_->DataDisk(stripe, j) == target) {
-        j_target = j;
-        break;
-      }
-    }
-    assert(j_target >= 0);
-    int32_t dirty_bands = 0;
-    for (int32_t b = 0; b < cfg_.marks_per_stripe; ++b) {
-      if (nvram_.IsDirty(stripe * cfg_.marks_per_stripe + b)) {
-        ++dirty_bands;
-      }
-    }
-    const int64_t target_off = layout_->DataLocation(stripe, j_target).byte_offset;
-    auto write = [this, stripe, unit, target, target_off, j_target, dirty_bands,
-                  advance](bool ok) {
-      if (!ok) {
-        advance(false);
-        return;
-      }
-      IssueDiskOp(target, target_off, unit, /*is_write=*/true,
-                  DiskOpPurpose::kRecoveryWrite,
-                  [this, stripe, j_target, dirty_bands, advance](bool ok2) {
-                    if (ok2) {
-                      if (content_ != nullptr) {
-                        content_->ReconstructBlock(stripe, j_target);
-                      }
-                      if (dirty_bands > 0) {
-                        // Only the stale bands of the lost block are gone.
-                        RecordLoss(LossCause::kStaleParityReconstruction, stripe,
-                                   dirty_bands *
-                                       (layout_->stripe_unit() / cfg_.marks_per_stripe));
-                      }
-                      ClearAllBands(stripe);
+  if (column == ParityColumn()) {
+    // The replaced disk held this stripe's parity: recompute from data.
+    // Note this is lossless even for a dirty stripe.
+    const BlockLoc ploc = layout_->ParityLocation(stripe);
+    JoinBlock* join = joins_.Make(n, [this, stripe, unit, ploc](bool) {
+      IssueDiskOp(ploc.disk, ploc.byte_offset, unit, /*is_write=*/true,
+                  DiskOpPurpose::kRecoveryWrite, [this, stripe](bool) {
+                    if (content_ != nullptr) {
+                      content_->RefreshParity(stripe);
                     }
-                    advance(ok2);
+                    ClearAllBands(stripe);
+                    StripeReconstructed(stripe);
                   });
-    };
-    JoinBlock* join = joins_.Make(n, std::move(write));  // n-1 data + parity reads.
+    });
     for (int32_t j = 0; j < n; ++j) {
-      if (j == j_target) {
-        continue;
-      }
       const BlockLoc dl = layout_->DataLocation(stripe, j);
       IssueDiskOp(dl.disk, dl.byte_offset, unit,
                   /*is_write=*/false, DiskOpPurpose::kRecoveryRead,
                   [join](bool ok) { join->Dec(ok); });
     }
-    const BlockLoc ploc = layout_->ParityLocation(stripe);
-    IssueDiskOp(ploc.disk, ploc.byte_offset, unit, /*is_write=*/false,
-                DiskOpPurpose::kRecoveryRead, [join](bool ok) { join->Dec(ok); });
-  });
+    return;
+  }
+
+  // The replaced disk held data block `column`: rebuild it as the xor of the
+  // other data blocks and the parity. If the stripe's parity was stale at
+  // failure time, the xor is *not* the lost data -- that block is gone
+  // (the Section 3.2 small-loss mode); we record it and move on.
+  const int32_t j_target = column;
+  int32_t dirty_bands = 0;
+  for (int32_t b = 0; b < cfg_.marks_per_stripe; ++b) {
+    if (nvram_.IsDirty(stripe * cfg_.marks_per_stripe + b)) {
+      ++dirty_bands;
+    }
+  }
+  const BlockLoc target = layout_->DataLocation(stripe, j_target);
+  auto write = [this, stripe, unit, target, j_target, dirty_bands](bool) {
+    IssueDiskOp(target.disk, target.byte_offset, unit, /*is_write=*/true,
+                DiskOpPurpose::kRecoveryWrite,
+                [this, stripe, j_target, dirty_bands](bool) {
+                  if (content_ != nullptr) {
+                    content_->ReconstructBlock(stripe, j_target);
+                  }
+                  if (dirty_bands > 0) {
+                    // Only the stale bands of the lost block are gone.
+                    RecordLoss(LossCause::kStaleParityReconstruction, stripe,
+                               dirty_bands *
+                                   (layout_->stripe_unit() / cfg_.marks_per_stripe));
+                  }
+                  ClearAllBands(stripe);
+                  StripeReconstructed(stripe);
+                });
+  };
+  JoinBlock* join = joins_.Make(n, std::move(write));  // n-1 data + parity reads.
+  for (int32_t j = 0; j < n; ++j) {
+    if (j == j_target) {
+      continue;
+    }
+    const BlockLoc dl = layout_->DataLocation(stripe, j);
+    IssueDiskOp(dl.disk, dl.byte_offset, unit,
+                /*is_write=*/false, DiskOpPurpose::kRecoveryRead,
+                [join](bool ok) { join->Dec(ok); });
+  }
+  const BlockLoc ploc = layout_->ParityLocation(stripe);
+  IssueDiskOp(ploc.disk, ploc.byte_offset, unit, /*is_write=*/false,
+              DiskOpPurpose::kRecoveryRead, [join](bool ok) { join->Dec(ok); });
 }
 
 bool AfraidController::FailNvram() {
@@ -1390,10 +1170,8 @@ std::vector<uint64_t> AfraidController::ReadLogicalCurrent(int64_t offset,
   out.reserve(static_cast<size_t>(length / sector));
   layout_->SplitInto(offset, length, &read_back_scratch_);
   for (const Segment& seg : read_back_scratch_) {
-    const int32_t disk = layout_->DataDisk(seg.stripe, seg.block_in_stripe);
     const bool degraded =
-        disk == failed_disk_ ||
-        (disk == recovering_disk_ && seg.stripe >= recovery_frontier_);
+        DiskUnavailable(layout_->DataDisk(seg.stripe, seg.block_in_stripe), seg.stripe);
     const int32_t first = seg.offset_in_block / sector;
     const int32_t count = seg.length / sector;
     for (int32_t i = 0; i < count; ++i) {

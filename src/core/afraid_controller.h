@@ -23,15 +23,14 @@
 // order (adjacent dirty stripes coalesce into near-sequential disk access),
 // one stripe at a time, preemptable between stripes.
 //
-// Failure machinery: single-disk failure with degraded reads/writes,
-// replacement-disk reconstruction, NVRAM marking-memory loss with the
-// conservative whole-array parity scrub, and host-requested paritypoints
-// (Section 5).
+// Failure machinery: degraded reads/writes and the per-stripe reconstruct
+// step over ArrayScheme's shared fail/replace/sweep engine, NVRAM
+// marking-memory loss with the conservative whole-array parity scrub, and
+// host-requested paritypoints (Section 5).
 
 #ifndef AFRAID_CORE_AFRAID_CONTROLLER_H_
 #define AFRAID_CORE_AFRAID_CONTROLLER_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -40,19 +39,13 @@
 #include <vector>
 
 #include "array/cache.h"
-#include "array/content.h"
-#include "array/controller.h"
-#include "array/scheme.h"
 #include "array/idle_detector.h"
 #include "array/idle_predictor.h"
-#include "array/layout.h"
 #include "array/nvram.h"
-#include "array/request.h"
-#include "array/stripe_lock.h"
+#include "array/scheme.h"
 #include "avail/model.h"
 #include "core/array_config.h"
 #include "core/policy.h"
-#include "disk/disk_model.h"
 #include "obs/probe.h"
 #include "sim/arena.h"
 #include "sim/simulator.h"
@@ -60,33 +53,11 @@
 
 namespace afraid {
 
-// What each disk I/O was for (statistics; also drives Figure 1's I/O counts).
-enum class DiskOpPurpose : int32_t {
-  kClientRead = 0,
-  kClientWrite,
-  kOldDataRead,      // RAID 5 RMW pre-read.
-  kOldParityRead,    // RAID 5 RMW pre-read.
-  kParityWrite,      // Synchronous (RAID 5-mode) parity write.
-  kReconstructRead,  // Reconstruct-write / degraded-mode companion reads.
-  kRebuildRead,      // Background AFRAID parity rebuild.
-  kRebuildWrite,
-  kRecoveryRead,     // Failed-disk reconstruction sweep.
-  kRecoveryWrite,
-  kNumPurposes,
-};
-
-// Human-readable purpose label (trace span names, reports).
-const char* DiskOpPurposeName(DiskOpPurpose purpose);
-
-// LossCause / LossEvent / LossListener live in array/scheme.h: every scheme's
-// failure machinery reports losses through the same types.
-
 class AfraidController : public ArrayScheme {
  public:
-  // A non-null `probe` turns tracing on: the controller opens one track per
-  // disk (purpose-labelled service spans + queue-depth counters), a
-  // "controller" track (mode flips, injected faults, data-loss incidents)
-  // and a "rebuild" track (rebuild passes, band steps, recovery sweeps).
+  // A non-null `probe` turns tracing on (see ArrayScheme); this controller
+  // adds mode flips and NVRAM loss to the "controller" track and rebuild
+  // passes, band steps and scrubs to the "rebuild" track.
   AfraidController(Simulator* sim, const ArrayConfig& config,
                    std::unique_ptr<ParityPolicy> policy,
                    const AvailabilityParams& avail_params, Probe probe = {});
@@ -94,23 +65,14 @@ class AfraidController : public ArrayScheme {
 
   // --- ArrayController interface ---------------------------------------------
   void Submit(const ClientRequest& request, RequestDone done) override;
-  int64_t DataCapacityBytes() const override { return layout_->data_capacity_bytes(); }
 
   // --- ArrayScheme interface ---------------------------------------------------
   const char* SchemeName() const override { return "afraid"; }
   std::string PolicyLabel() const override;
-  int32_t num_disks() const override { return cfg_.num_disks; }
   SchemeState State() const override;
   SchemeStats Stats() const override;
 
-  // --- Failure injection & recovery ------------------------------------------
-  // Fails one disk (at most one failure is tolerated at a time).
-  bool FailDisk(int32_t disk) override;
-  // Installs a replacement mechanism for the failed disk (blank contents).
-  bool ReplaceDisk(int32_t disk) override;
-  // Rebuilds the replaced disk's contents stripe by stripe; `done` fires when
-  // the array is fully redundant again. Runs concurrently with client I/O.
-  bool StartReconstruction(std::function<void()> done) override;
+  // --- NVRAM failure ------------------------------------------------------------
   // Loses the NVRAM marking memory (all dirty knowledge gone).
   bool FailNvram() override;
   // The conservative recovery from NVRAM loss: recompute parity everywhere.
@@ -141,14 +103,8 @@ class AfraidController : public ArrayScheme {
   RedundancyClass RegionClassOf(int64_t stripe) const;
 
   // --- Introspection -----------------------------------------------------------
-  const ArrayLayout& layout() const override { return *layout_; }
   const NvramBitmap& nvram() const { return nvram_; }
-  const ContentModel* content() const override { return content_.get(); }
-  DiskModel& disk(int32_t d) override { return *disks_[d]; }
-  int32_t failed_disk() const { return failed_disk_; }
-  int32_t recovering_disk() const { return recovering_disk_; }
   bool RebuildInProgress() const { return rebuilding_; }
-  bool ReconstructionInProgress() const { return reconstruction_active_; }
   bool ScrubInProgress() const { return scrub_active_; }
 
   // Parity-lag accounting (Section 3.2). Mean over [start, now].
@@ -159,10 +115,6 @@ class AfraidController : public ArrayScheme {
   // Time-average client-idle fraction (no client requests in flight).
   double IdleFraction() const { return 1.0 - busy_clients_.PositiveFractionTo(sim_->Now()); }
 
-  uint64_t DiskOps(DiskOpPurpose p) const {
-    return disk_ops_[static_cast<size_t>(p)];
-  }
-  uint64_t TotalDiskOps() const;
   uint64_t StripesRebuilt() const { return stripes_rebuilt_; }
   uint64_t RebuildPasses() const { return rebuild_passes_; }
   // Idle windows the predictor judged too short to start a rebuild in.
@@ -175,13 +127,6 @@ class AfraidController : public ArrayScheme {
   bool LastWriteModeRaid5() const { return last_write_raid5_; }
   int64_t MaxDirtyStripes() const { return max_dirty_; }
   uint64_t CacheHits() const { return read_cache_.Hits() + staging_.Hits(); }
-  uint64_t LossEvents() const { return loss_events_; }
-  int64_t BytesLost() const { return bytes_lost_; }
-
-  // Observer of data-loss incidents (see array/scheme.h).
-  void SetLossListener(LossListener listener) override {
-    loss_listener_ = std::move(listener);
-  }
   const ParityPolicy& policy() const { return *policy_; }
 
   // Functional read-back of current logical content (content tracking only):
@@ -229,15 +174,11 @@ class AfraidController : public ArrayScheme {
   void RebuildBand(int64_t band_key, JoinBlock* step_join);
 
   // --- Recovery sweeps ---
-  void ReconstructNextStripe(int64_t stripe);
+  void ReconstructStripe(int64_t stripe, int32_t column) override;
+  void OnReconstructionDone() override { TriggerRebuildCheck(); }
   void ScrubNextStripe(int64_t stripe);
 
   // --- Helpers ---
-  void IssueDiskOp(int32_t disk, int64_t byte_offset, int64_t length, bool is_write,
-                   DiskOpPurpose purpose, DiskDone done);
-  // Central loss accounting: updates the counters and notifies the listener.
-  void RecordLoss(LossCause cause, int64_t stripe, int64_t bytes);
-
   // Sub-stripe marking (Section 5): the NVRAM bitmap is keyed by *band*,
   // band key = stripe * M + band, where band b covers byte range
   // [b*S/M, (b+1)*S/M) of every block in the stripe. M = 1 (the paper's
@@ -269,44 +210,27 @@ class AfraidController : public ArrayScheme {
   // regions; -1 if none.
   int64_t PickRebuildableKey(int64_t from) const;
 
-  Simulator* sim_;
   ArrayConfig cfg_;
   std::unique_ptr<ParityPolicy> policy_;
   AvailabilityParams avail_params_;
 
-  // Tracing handles (all null when observability is off).
-  Probe ctrl_probe_;
-  Probe rebuild_probe_;
-  std::vector<Probe> disk_probes_;  // One per disk, same track as its DiskModel.
-
-  std::vector<std::unique_ptr<DiskModel>> disks_;
-  std::unique_ptr<ArrayLayout> layout_;
-  StripeLockTable locks_;
   NvramBitmap nvram_;
   BlockLruCache read_cache_;
   BlockLruCache staging_;
-  std::unique_ptr<ContentModel> content_;
   std::unique_ptr<IdleDetector> idle_detector_;
 
-  // Request-path scratch arena: pooled joins, pooled per-request segment
-  // vectors (alive until the request's join fires), pooled parity/delta
-  // buffers, and synchronous-only scratch vectors reused across calls.
-  JoinPool joins_;
+  // Request-path scratch arena (the join pool is ArrayScheme's): pooled
+  // per-request segment vectors (alive until the request's join fires),
+  // pooled parity/delta buffers, and synchronous-only scratch vectors reused
+  // across calls.
   VecPool<Segment> seg_pool_;
   VecPool<uint64_t> u64_pool_;
-  std::vector<Segment> read_split_scratch_;          // DoRead (synchronous).
   mutable std::vector<Segment> read_back_scratch_;   // ReadLogicalCurrent.
   std::vector<const Segment*> by_block_scratch_;     // Raid5WriteGroup.
   std::vector<const Segment*> need_read_scratch_;    // ReadModifyWrite.
 
   SimTime start_time_;
   int32_t outstanding_clients_ = 0;
-  int32_t failed_disk_ = -1;
-  // Replacement-disk recovery: stripes below the frontier hold valid data on
-  // the recovering disk; at or above it, reads reconstruct via parity and
-  // writes keep parity synchronous.
-  int32_t recovering_disk_ = -1;
-  int64_t recovery_frontier_ = 0;
 
   // Rebuild engine.
   bool rebuilding_ = false;
@@ -322,9 +246,7 @@ class AfraidController : public ArrayScheme {
   double rebuild_step_estimate_ns_ = 35e6;
   uint64_t predictor_skips_ = 0;
 
-  // Recovery sweeps.
-  bool reconstruction_active_ = false;
-  std::function<void()> reconstruction_done_;
+  // NVRAM-loss scrub.
   bool scrub_active_ = false;
   std::function<void()> scrub_done_;
 
@@ -346,14 +268,10 @@ class AfraidController : public ArrayScheme {
   // Accounting.
   TimeWeightedValue unprot_bytes_;
   TimeWeightedValue busy_clients_;
-  std::array<uint64_t, static_cast<size_t>(DiskOpPurpose::kNumPurposes)> disk_ops_{};
   uint64_t afraid_mode_writes_ = 0;
   uint64_t raid5_mode_writes_ = 0;
   bool last_write_raid5_ = false;
   int64_t max_dirty_ = 0;
-  uint64_t loss_events_ = 0;
-  int64_t bytes_lost_ = 0;
-  LossListener loss_listener_;
 };
 
 }  // namespace afraid

@@ -7,42 +7,26 @@
 
 namespace afraid {
 
-MirrorController::MirrorController(Simulator* sim, const ArrayConfig& config)
-    : sim_(sim),
-      cfg_(config),
-      layout_(config.num_disks / 2, config.stripe_unit_bytes,
-              DiskGeometry(config.disk_spec.zones, config.disk_spec.heads,
-                           config.disk_spec.sector_bytes)
-                  .CapacityBytes(),
-              /*parity_blocks=*/0) {
-  assert(cfg_.num_disks >= 2 && cfg_.num_disks % 2 == 0);
-  const auto mechanics = DiskMechanics::Compile(cfg_.disk_spec);
-  for (int32_t d = 0; d < cfg_.num_disks; ++d) {
-    disks_.push_back(std::make_unique<DiskModel>(sim_, mechanics, d));
-  }
-  if (cfg_.track_content) {
-    // One "data" slot per column for the primary copy and one "parity" slot
-    // per column for the twin, so copy divergence is observable.
-    content_ = std::make_unique<ContentModel>(
-        layout_.data_blocks_per_stripe(), layout_.data_blocks_per_stripe(),
-        static_cast<int32_t>(cfg_.stripe_unit_bytes / cfg_.disk_spec.sector_bytes));
-  }
+// The data layout stripes plainly over the columns (num_disks / 2, no
+// parity). The content model gets one "data" slot per column for the
+// primary copy and one "parity" slot per column for the twin, so copy
+// divergence is observable.
+MirrorController::MirrorController(Simulator* sim, const ArrayConfig& config,
+                                   Probe probe)
+    : ArrayScheme(sim, config.disk_spec, config.num_disks,
+                  std::make_unique<StripeLayout>(
+                      config.num_disks / 2, config.stripe_unit_bytes,
+                      DiskGeometry(config.disk_spec.zones, config.disk_spec.heads,
+                                   config.disk_spec.sector_bytes)
+                          .CapacityBytes(),
+                      /*parity_blocks=*/0),
+                  ContentShape{config.track_content,
+                               /*parity_columns=*/config.num_disks / 2},
+                  probe) {
+  assert(config.num_disks >= 2 && config.num_disks % 2 == 0);
 }
 
 MirrorController::~MirrorController() = default;
-
-void MirrorController::IssueDiskOp(int32_t disk, int64_t byte_offset,
-                                   int64_t length, bool is_write, DiskDone done) {
-  const int32_t sector = cfg_.disk_spec.sector_bytes;
-  assert(byte_offset % sector == 0 && length > 0 && length % sector == 0);
-  ++disk_ops_;
-  DiskOp op;
-  op.lba = byte_offset / sector;
-  op.sectors = static_cast<int32_t>(length / sector);
-  op.is_write = is_write;
-  disks_[static_cast<size_t>(disk)]->Submit(
-      op, [done = std::move(done)](const DiskOpResult& r) mutable { done(r.ok); });
-}
 
 int32_t MirrorController::ChooseReplica(int64_t stripe, int32_t primary,
                                         const DiskOp& op) const {
@@ -55,8 +39,8 @@ int32_t MirrorController::ChooseReplica(int64_t stripe, int32_t primary,
   if (!primary_ok) {
     return twin;
   }
-  const DiskModel& a = *disks_[static_cast<size_t>(primary)];
-  const DiskModel& b = *disks_[static_cast<size_t>(twin)];
+  const DiskModel& a = disk(primary);
+  const DiskModel& b = disk(twin);
   // Fewest queued operations first (the strongest signal under load), then
   // the shorter positioning estimate from each arm's current cylinder, with
   // the lower disk id as the deterministic tie-break.
@@ -75,7 +59,7 @@ int32_t MirrorController::ChooseReplica(int64_t stripe, int32_t primary,
 void MirrorController::Submit(const ClientRequest& request, RequestDone done) {
   assert(request.size > 0);
   assert(request.offset >= 0 &&
-         request.offset + request.size <= layout_.data_capacity_bytes());
+         request.offset + request.size <= layout_->data_capacity_bytes());
   if (request.is_write) {
     DoWrite(request, std::move(done));
   } else {
@@ -84,40 +68,26 @@ void MirrorController::Submit(const ClientRequest& request, RequestDone done) {
 }
 
 void MirrorController::DoRead(const ClientRequest& r, RequestDone done) {
-  // Planned requests carry their precompiled Split() (see array/plan.h).
-  Span<Segment> segs{r.plan_segs, r.plan_seg_count};
-  if (r.plan_segs == nullptr) {
-    layout_.SplitInto(r.offset, r.size, &split_scratch_);
-    segs = Span<Segment>{split_scratch_.data(),
-                         static_cast<int32_t>(split_scratch_.size())};
-  }
+  const Span<Segment> segs = SegmentsOf(r);
   JoinBlock* join = joins_.Make(
       segs.count, [done = std::move(done)](bool) mutable { done(); });
-  const int32_t sector = cfg_.disk_spec.sector_bytes;
+  const int32_t sector = sector_bytes_;
   for (const Segment& seg : segs) {
-    const int32_t col = layout_.DataDisk(seg.stripe, seg.block_in_stripe);
+    const int32_t col = layout_->DataDisk(seg.stripe, seg.block_in_stripe);
     const int32_t primary = 2 * col;
-    const int64_t off = seg.stripe * layout_.stripe_unit() + seg.offset_in_block;
+    const int64_t off = seg.stripe * layout_->stripe_unit() + seg.offset_in_block;
     DiskOp op;
     op.lba = off / sector;
     op.sectors = seg.length / sector;
     op.is_write = false;
-    const int32_t pick = ChooseReplica(seg.stripe, primary, op);
-    if (pick != primary) {
-      ++replica_reads_;
-    }
-    IssueDiskOp(pick, off, seg.length, /*is_write=*/false,
+    IssueDiskOp(ChooseReplica(seg.stripe, primary, op), off, seg.length,
+                /*is_write=*/false, DiskOpPurpose::kClientRead,
                 [join](bool) { join->Dec(true); });
   }
 }
 
 void MirrorController::DoWrite(const ClientRequest& r, RequestDone done) {
-  Span<Segment> segs{r.plan_segs, r.plan_seg_count};
-  if (r.plan_segs == nullptr) {
-    layout_.SplitInto(r.offset, r.size, &split_scratch_);
-    segs = Span<Segment>{split_scratch_.data(),
-                         static_cast<int32_t>(split_scratch_.size())};
-  }
+  const Span<Segment> segs = SegmentsOf(r);
   JoinBlock* join = joins_.Make(
       segs.count, [done = std::move(done)](bool) mutable { done(); });
   for (const Segment& seg : segs) {
@@ -131,9 +101,9 @@ void MirrorController::WriteSegment(uint64_t request_id, const Segment& seg,
   // sweep's twin -> replacement copy, so the two halves cannot be observed
   // (or frozen) mid-divergence.
   locks_.Acquire(seg.stripe, LockMode::kExclusive, [this, request_id, seg, join] {
-    const int32_t col = layout_.DataDisk(seg.stripe, seg.block_in_stripe);
+    const int32_t col = layout_->DataDisk(seg.stripe, seg.block_in_stripe);
     const int32_t primary = 2 * col;
-    const int64_t off = seg.stripe * layout_.stripe_unit() + seg.offset_in_block;
+    const int64_t off = seg.stripe * layout_->stripe_unit() + seg.offset_in_block;
     JoinBlock* pair = joins_.Make(2, [this, seg, join](bool) {
       locks_.Release(seg.stripe, LockMode::kExclusive);
       join->Dec(true);
@@ -145,10 +115,10 @@ void MirrorController::WriteSegment(uint64_t request_id, const Segment& seg,
         sim_->After(0, [pair] { pair->Dec(true); });
         continue;
       }
-      IssueDiskOp(d, off, seg.length, /*is_write=*/true,
+      IssueDiskOp(d, off, seg.length, /*is_write=*/true, DiskOpPurpose::kClientWrite,
                   [this, request_id, seg, side, pair](bool ok) {
                     if (ok && content_ != nullptr) {
-                      const int32_t sector = cfg_.disk_spec.sector_bytes;
+                      const int32_t sector = sector_bytes_;
                       const int32_t first = seg.offset_in_block / sector;
                       const int32_t count = seg.length / sector;
                       const int64_t logical_first = seg.logical_offset / sector;
@@ -170,119 +140,43 @@ void MirrorController::WriteSegment(uint64_t request_id, const Segment& seg,
   });
 }
 
-bool MirrorController::StripeMirrorConsistent(int64_t stripe) const {
-  assert(content_ != nullptr);
-  for (int32_t j = 0; j < layout_.data_blocks_per_stripe(); ++j) {
-    for (int32_t s = 0; s < content_->sectors_per_unit(); ++s) {
-      if (content_->GetData(stripe, j, s) != content_->GetParity(stripe, s, j)) {
-        return false;
-      }
+// --- Failure recovery -------------------------------------------------------------
+
+int32_t MirrorController::ColumnOnDisk(int64_t stripe, int32_t disk) const {
+  // Each column holds exactly one block of every stripe.
+  for (int32_t j = 0; j < layout_->data_blocks_per_stripe(); ++j) {
+    if (layout_->DataDisk(stripe, j) == disk / 2) {
+      return disk % 2 == 0 ? j : ParityColumn(j);
     }
   }
-  return true;
+  return -1;
 }
 
-// --- Failure machinery ------------------------------------------------------------
-
-bool MirrorController::FailDisk(int32_t disk) {
-  if (disk < 0 || disk >= cfg_.num_disks || failed_disk_ >= 0 ||
-      recovering_disk_ >= 0) {
-    return false;
-  }
-  failed_disk_ = disk;
-  disks_[static_cast<size_t>(disk)]->Fail();
-  return true;
-}
-
-bool MirrorController::ReplaceDisk(int32_t disk) {
-  if (disk != failed_disk_ || disk < 0) {
-    return false;
-  }
-  disks_[static_cast<size_t>(disk)]->Replace();
-  failed_disk_ = -1;
-  recovering_disk_ = disk;
-  recovery_frontier_ = 0;
-  // The replacement mechanism is blank; model its copy as zeroes.
+void MirrorController::ReconstructStripe(int64_t stripe, int32_t column) {
+  const int32_t target = recovering_disk();
+  const int32_t twin = target % 2 == 0 ? target + 1 : target - 1;
+  const int64_t unit = layout_->stripe_unit();
+  // Logical copy first, under the lock: twin -> replacement, exact.
   if (content_ != nullptr) {
-    const int32_t col = disk / 2;
-    const int32_t side = disk % 2;
-    for (int64_t s : content_->TouchedStripes()) {
-      for (int32_t j = 0; j < layout_.data_blocks_per_stripe(); ++j) {
-        if (layout_.DataDisk(s, j) == col) {
-          content_->ZeroBlock(s, side == 0 ? j : content_->ParityColumn(j));
-        }
-      }
-    }
+    const int32_t n = layout_->data_blocks_per_stripe();
+    content_->CopyBlock(stripe, column < n ? ParityColumn(column) : column - n,
+                        column);
   }
-  return true;
-}
-
-bool MirrorController::StartReconstruction(std::function<void()> done) {
-  if (recovering_disk_ < 0 || reconstruction_active_) {
-    return false;
-  }
-  reconstruction_active_ = true;
-  reconstruction_done_ = std::move(done);
-  ReconstructNextStripe(0);
-  return true;
-}
-
-void MirrorController::ReconstructNextStripe(int64_t stripe) {
-  if (stripe >= layout_.num_stripes()) {
-    reconstruction_active_ = false;
-    recovering_disk_ = -1;
-    recovery_frontier_ = 0;
-    auto done = std::move(reconstruction_done_);
-    reconstruction_done_ = nullptr;
-    if (done) {
-      done();
-    }
-    return;
-  }
-  locks_.Acquire(stripe, LockMode::kExclusive, [this, stripe] {
-    const int32_t target = recovering_disk_;
-    const int32_t col = target / 2;
-    const int32_t side = target % 2;
-    const int32_t twin = side == 0 ? target + 1 : target - 1;
-    const int64_t unit = layout_.stripe_unit();
-    // The column's block in this stripe (each column holds exactly one).
-    int32_t jb = -1;
-    for (int32_t j = 0; j < layout_.data_blocks_per_stripe(); ++j) {
-      if (layout_.DataDisk(stripe, j) == col) {
-        jb = j;
-        break;
-      }
-    }
-    assert(jb >= 0);
-    // Logical copy first, under the lock: twin -> replacement, exact. Column
-    // jb holds the even disk's copy, ParityColumn(jb) the odd disk's.
-    if (content_ != nullptr) {
-      const int32_t odd_col = content_->ParityColumn(jb);
-      if (side == 0) {
-        content_->CopyBlock(stripe, odd_col, jb);
-      } else {
-        content_->CopyBlock(stripe, jb, odd_col);
-      }
-    }
-    auto advance = [this, stripe](bool) {
-      ++stripes_rebuilt_;
-      recovery_frontier_ = stripe + 1;
-      locks_.Release(stripe, LockMode::kExclusive);
-      ReconstructNextStripe(stripe + 1);
-    };
-    IssueDiskOp(twin, stripe * unit, unit, /*is_write=*/false,
-                [this, stripe, target, unit, advance](bool) {
-                  IssueDiskOp(target, stripe * unit, unit, /*is_write=*/true,
-                              [advance](bool) mutable { advance(true); });
-                });
-  });
+  IssueDiskOp(twin, stripe * unit, unit, /*is_write=*/false,
+              DiskOpPurpose::kRecoveryRead, [this, stripe, target, unit](bool) {
+                IssueDiskOp(target, stripe * unit, unit, /*is_write=*/true,
+                            DiskOpPurpose::kRecoveryWrite, [this, stripe](bool) {
+                              ++stripes_rebuilt_;
+                              StripeReconstructed(stripe);
+                            });
+              });
 }
 
 SchemeState MirrorController::State() const {
   SchemeState st;
-  st.failed_disk = failed_disk_;
-  st.recovering_disk = recovering_disk_;
-  st.reconstruction_active = reconstruction_active_;
+  st.failed_disk = failed_disk();
+  st.recovering_disk = recovering_disk();
+  st.reconstruction_active = reconstruction_active();
   st.parity_lag_bytes = 0.0;  // The twin is updated in the write itself.
   return st;
 }
@@ -290,7 +184,7 @@ SchemeState MirrorController::State() const {
 SchemeStats MirrorController::Stats() const {
   SchemeStats s;
   s.stripes_rebuilt = stripes_rebuilt_;
-  s.disk_ops_total = disk_ops_;
+  s.disk_ops_total = TotalDiskOps();
   return s;
 }
 

@@ -11,28 +11,22 @@
 // cylinder (the classic shortest-positioning-time mirror read policy), with
 // the lower disk id as the deterministic tie-break.
 //
-// Failure machinery (ArrayScheme): with a disk out, reads simply fall to the
-// surviving twin and writes update it alone, so degraded service is lossless
-// and there is no exposure window at all. Reconstruction is a stripe-ordered
-// copy twin -> replacement behind a frontier, after which the pair is
-// redundant again. Exposure statistics are identically zero.
+// Failure machinery (over ArrayScheme's shared fail/replace/sweep engine):
+// with a disk out, reads simply fall to the surviving twin and writes update
+// it alone, so degraded service is lossless and there is no exposure window
+// at all. The per-stripe reconstruct step copies twin -> replacement, after
+// which the pair is redundant again. Exposure statistics are identically
+// zero.
 
 #ifndef AFRAID_CORE_MIRROR_CONTROLLER_H_
 #define AFRAID_CORE_MIRROR_CONTROLLER_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "array/content.h"
-#include "array/controller.h"
-#include "array/layout.h"
 #include "array/scheme.h"
-#include "array/stripe_lock.h"
 #include "core/array_config.h"
-#include "disk/disk_model.h"
+#include "obs/probe.h"
 #include "sim/arena.h"
 #include "sim/simulator.h"
 
@@ -42,34 +36,19 @@ class MirrorController : public ArrayScheme {
  public:
   // `config.num_disks` must be even (>= 2); the registry's Normalize rounds
   // odd widths down.
-  MirrorController(Simulator* sim, const ArrayConfig& config);
+  MirrorController(Simulator* sim, const ArrayConfig& config, Probe probe = {});
   ~MirrorController() override;
 
   void Submit(const ClientRequest& request, RequestDone done) override;
-  int64_t DataCapacityBytes() const override { return layout_.data_capacity_bytes(); }
 
   // --- ArrayScheme interface ---
   const char* SchemeName() const override { return "mirror"; }
   std::string PolicyLabel() const override { return "Mirror-SPTF"; }
-  int32_t num_disks() const override { return cfg_.num_disks; }
-  DiskModel& disk(int32_t d) override { return *disks_[d]; }
-  bool FailDisk(int32_t disk) override;
-  bool ReplaceDisk(int32_t disk) override;
-  bool StartReconstruction(std::function<void()> done) override;
   SchemeState State() const override;
   SchemeStats Stats() const override;
 
   // --- Introspection ---
-  const ArrayLayout& layout() const override { return layout_; }
-  const ContentModel* content() const override { return content_.get(); }
-  int32_t failed_disk() const { return failed_disk_; }
-  int32_t recovering_disk() const { return recovering_disk_; }
-  uint64_t DiskOpsIssued() const { return disk_ops_; }
   uint64_t StripesRebuilt() const { return stripes_rebuilt_; }
-  // Reads won by the non-primary replica (the dispatch policy at work).
-  uint64_t ReplicaReads() const { return replica_reads_; }
-  // True iff both copies of every touched block agree per the content model.
-  bool StripeMirrorConsistent(int64_t stripe) const;
 
   // Replica-choice core, exposed for the dispatch benchmark: picks the disk
   // (primary or twin) that serves `op` fastest right now.
@@ -79,34 +58,11 @@ class MirrorController : public ArrayScheme {
   void DoRead(const ClientRequest& r, RequestDone done);
   void DoWrite(const ClientRequest& r, RequestDone done);
   void WriteSegment(uint64_t request_id, const Segment& seg, JoinBlock* join);
-  void ReconstructNextStripe(int64_t stripe);
-  bool DiskUnavailable(int32_t disk, int64_t stripe) const {
-    return disk == failed_disk_ ||
-           (disk == recovering_disk_ && stripe >= recovery_frontier_);
-  }
-  void IssueDiskOp(int32_t disk, int64_t byte_offset, int64_t length, bool is_write,
-                   DiskDone done);
+  void ReconstructStripe(int64_t stripe, int32_t column) override;
+  // Disks 2c and 2c+1 hold column c's primary copy and its twin: data
+  // column j and twin column ParityColumn(j) of the content model.
+  int32_t ColumnOnDisk(int64_t stripe, int32_t disk) const override;
 
-  Simulator* sim_;
-  ArrayConfig cfg_;
-  std::vector<std::unique_ptr<DiskModel>> disks_;
-  StripeLayout layout_;  // Over the columns (num_disks / 2, no parity).
-  StripeLockTable locks_;
-  std::unique_ptr<ContentModel> content_;
-
-  // Steady-state pooled storage (see DESIGN.md, "Arena reuse contract").
-  JoinPool joins_;
-  std::vector<Segment> split_scratch_;  // Consumed synchronously per request.
-
-  // Failure machinery (same state machine as the other schemes).
-  int32_t failed_disk_ = -1;
-  int32_t recovering_disk_ = -1;
-  int64_t recovery_frontier_ = 0;
-  bool reconstruction_active_ = false;
-  std::function<void()> reconstruction_done_;
-
-  uint64_t disk_ops_ = 0;
-  uint64_t replica_reads_ = 0;
   uint64_t stripes_rebuilt_ = 0;
 };
 

@@ -29,41 +29,20 @@ int64_t PlDiskCapacity(const ArrayConfig& config) {
 }  // namespace
 
 ParityLogController::ParityLogController(Simulator* sim, const ArrayConfig& config,
-                                         const ParityLogConfig& log_config)
-    : sim_(sim),
-      cfg_(config),
-      log_cfg_(log_config.FittedTo(PlDiskCapacity(config))),
-      layout_(MakeLayout(config.layout, config.num_disks,
-                         config.stripe_unit_bytes,
-                         PlDiskCapacity(config) - log_cfg_.log_region_bytes,
-                         /*parity_blocks=*/1, config.decluster_width)) {
+                                         const ParityLogConfig& log_config, Probe probe)
+    : ArrayScheme(sim, config.disk_spec, config.num_disks,
+                  MakeLayout(config.layout, config.num_disks,
+                             config.stripe_unit_bytes,
+                             PlDiskCapacity(config) -
+                                 log_config.FittedTo(PlDiskCapacity(config))
+                                     .log_region_bytes,
+                             /*parity_blocks=*/1, config.decluster_width),
+                  ContentShape{config.track_content, /*parity_columns=*/1}, probe),
+      log_cfg_(log_config.FittedTo(PlDiskCapacity(config))) {
   assert(log_cfg_.log_region_bytes > log_cfg_.nvram_buffer_bytes);
-  const auto mechanics = DiskMechanics::Compile(cfg_.disk_spec);
-  for (int32_t d = 0; d < cfg_.num_disks; ++d) {
-    disks_.push_back(std::make_unique<DiskModel>(sim_, mechanics, d));
-  }
-  if (cfg_.track_content) {
-    content_ = std::make_unique<ContentModel>(
-        layout_->data_blocks_per_stripe(), /*parity_blocks=*/1,
-        static_cast<int32_t>(cfg_.stripe_unit_bytes / cfg_.disk_spec.sector_bytes));
-  }
 }
 
 ParityLogController::~ParityLogController() = default;
-
-void ParityLogController::IssueDiskOp(int32_t disk, int64_t byte_offset,
-                                      int64_t length, bool is_write,
-                                      DiskDone done) {
-  const int32_t sector = cfg_.disk_spec.sector_bytes;
-  assert(byte_offset % sector == 0 && length > 0 && length % sector == 0);
-  ++disk_ops_;
-  DiskOp op;
-  op.lba = byte_offset / sector;
-  op.sectors = static_cast<int32_t>(length / sector);
-  op.is_write = is_write;
-  disks_[static_cast<size_t>(disk)]->Submit(
-      op, [done = std::move(done)](const DiskOpResult& r) mutable { done(r.ok); });
-}
 
 void ParityLogController::Submit(const ClientRequest& request, RequestDone done) {
   assert(request.size > 0);
@@ -77,13 +56,7 @@ void ParityLogController::Submit(const ClientRequest& request, RequestDone done)
 }
 
 void ParityLogController::DoRead(const ClientRequest& r, RequestDone done) {
-  // Planned requests carry their precompiled Split() (see array/plan.h).
-  Span<Segment> segs{r.plan_segs, r.plan_seg_count};
-  if (r.plan_segs == nullptr) {
-    layout_->SplitInto(r.offset, r.size, &split_scratch_);
-    segs = Span<Segment>{split_scratch_.data(),
-                         static_cast<int32_t>(split_scratch_.size())};
-  }
+  const Span<Segment> segs = SegmentsOf(r);
   JoinBlock* join = joins_.Make(
       segs.count, [done = std::move(done)](bool) mutable { done(); });
   for (const Segment& seg : segs) {
@@ -93,7 +66,8 @@ void ParityLogController::DoRead(const ClientRequest& r, RequestDone done) {
       continue;
     }
     IssueDiskOp(dl.disk, dl.byte_offset + seg.offset_in_block, seg.length,
-                /*is_write=*/false, [join](bool) { join->Dec(true); });
+                /*is_write=*/false, DiskOpPurpose::kClientRead,
+                [join](bool) { join->Dec(true); });
   }
 }
 
@@ -105,7 +79,8 @@ void ParityLogController::DegradedReadSegment(const Segment& seg, JoinBlock* par
       // The reconstruction sweep passed this stripe while we waited on the
       // lock: plain read.
       IssueDiskOp(tl.disk, tl.byte_offset + seg.offset_in_block, seg.length,
-                  /*is_write=*/false, [this, stripe, parent](bool) {
+                  /*is_write=*/false, DiskOpPurpose::kClientRead,
+                  [this, stripe, parent](bool) {
                     locks_.Release(stripe, LockMode::kExclusive);
                     parent->Dec(true);
                   });
@@ -125,22 +100,18 @@ void ParityLogController::DegradedReadSegment(const Segment& seg, JoinBlock* par
       }
       const BlockLoc dl = layout_->DataLocation(stripe, j);
       IssueDiskOp(dl.disk, dl.byte_offset + seg.offset_in_block, seg.length,
-                  /*is_write=*/false, [join](bool) { join->Dec(true); });
+                  /*is_write=*/false, DiskOpPurpose::kReconstructRead,
+                  [join](bool) { join->Dec(true); });
     }
     const BlockLoc pl = layout_->ParityLocation(stripe);
     IssueDiskOp(pl.disk, pl.byte_offset + seg.offset_in_block, seg.length,
-                /*is_write=*/false,
+                /*is_write=*/false, DiskOpPurpose::kReconstructRead,
                 [join](bool) { join->Dec(true); });
   });
 }
 
 void ParityLogController::DoWrite(const ClientRequest& r, RequestDone done) {
-  Span<Segment> segs{r.plan_segs, r.plan_seg_count};
-  if (r.plan_segs == nullptr) {
-    layout_->SplitInto(r.offset, r.size, &split_scratch_);
-    segs = Span<Segment>{split_scratch_.data(),
-                         static_cast<int32_t>(split_scratch_.size())};
-  }
+  const Span<Segment> segs = SegmentsOf(r);
   JoinBlock* join = joins_.Make(
       segs.count, [done = std::move(done)](bool) mutable { done(); });
   for (const Segment& seg : segs) {
@@ -161,7 +132,7 @@ void ParityLogController::UpdateContentForWrite(uint64_t request_id,
   if (content_ == nullptr) {
     return;
   }
-  const int32_t sector = cfg_.disk_spec.sector_bytes;
+  const int32_t sector = sector_bytes_;
   const int32_t first = seg.offset_in_block / sector;
   const int32_t count = seg.length / sector;
   const int64_t logical_first = seg.logical_offset / sector;
@@ -196,11 +167,12 @@ void ParityLogController::WriteSegment(uint64_t request_id, const Segment& seg,
     // Read-modify-write on the data block only; the parity-update image
     // (old xor new) goes to the NVRAM log buffer instead of the parity disk.
     IssueDiskOp(dl.disk, off, seg.length, /*is_write=*/false,
-                [this, request_id, seg, join](bool) {
+                DiskOpPurpose::kOldDataRead, [this, request_id, seg, join](bool) {
                   const BlockLoc wl =
                       layout_->DataLocation(seg.stripe, seg.block_in_stripe);
                   const int64_t o = wl.byte_offset + seg.offset_in_block;
                   IssueDiskOp(wl.disk, o, seg.length, /*is_write=*/true,
+                              DiskOpPurpose::kClientWrite,
                               [this, request_id, seg, join](bool) {
                                 UpdateContentForWrite(request_id, seg);
                                 AppendImages(seg.length);
@@ -228,21 +200,21 @@ void ParityLogController::FlushBuffer() {
   const int64_t log_start = layout_->DiskDataBytes();
   const int64_t region_per_disk = log_cfg_.log_region_bytes;
   const int64_t offset_in_region =
-      (log_used_ / cfg_.num_disks) % std::max<int64_t>(
+      (log_used_ / num_disks()) % std::max<int64_t>(
           region_per_disk - flush_bytes, 1);
   int32_t disk = log_disk_cursor_;
-  log_disk_cursor_ = (log_disk_cursor_ + 1) % cfg_.num_disks;
-  if (disk == failed_disk_) {
+  log_disk_cursor_ = (log_disk_cursor_ + 1) % num_disks();
+  if (disk == failed_disk()) {
     // Log segments rotate; the dead disk's slot just moves to the next one
     // (at most one failure at a time, so a single skip suffices).
     disk = log_disk_cursor_;
-    log_disk_cursor_ = (log_disk_cursor_ + 1) % cfg_.num_disks;
+    log_disk_cursor_ = (log_disk_cursor_ + 1) % num_disks();
   }
-  const int32_t sector = cfg_.disk_spec.sector_bytes;
+  const int32_t sector = sector_bytes_;
   const int64_t aligned = std::max<int64_t>(
       sector, (flush_bytes / sector) * sector);
   IssueDiskOp(disk, log_start + (offset_in_region / sector) * sector, aligned,
-              /*is_write=*/true, [](bool) {});
+              /*is_write=*/true, DiskOpPurpose::kParityWrite, [](bool) {});
   log_used_ += flush_bytes;
   // Background replay starts at the high-water mark, well before the log is
   // hard-full, so foreground writes rarely stall outright.
@@ -256,11 +228,10 @@ void ParityLogController::FlushBuffer() {
 void ParityLogController::StartReplay() {
   replaying_ = true;
   ++log_replays_;
-  ReplayNextBatch(log_used_);
+  ReplayNextBatch();
 }
 
-void ParityLogController::ReplayNextBatch(int64_t remaining_bytes) {
-  (void)remaining_bytes;
+void ParityLogController::ReplayNextBatch() {
   // Stop once drained to the low-water mark: the array returns to pure
   // foreground service and the log refills before the next replay.
   if (log_used_ <= static_cast<int64_t>(
@@ -272,7 +243,7 @@ void ParityLogController::ReplayNextBatch(int64_t remaining_bytes) {
   const int64_t batch_bytes = std::min<int64_t>(
       log_used_, static_cast<int64_t>(log_cfg_.replay_batch_stripes) * unit);
   const int64_t log_start = layout_->DiskDataBytes();
-  const int32_t sector = cfg_.disk_spec.sector_bytes;
+  const int32_t sector = sector_bytes_;
 
   // One big sequential log read, then parity read+write pairs for each
   // affected stripe unit, spread over the disks round-robin. Foreground
@@ -287,22 +258,23 @@ void ParityLogController::ReplayNextBatch(int64_t remaining_bytes) {
         WriteSegment(w.request_id, w.seg, w.join);
       }
       runnable_scratch_.clear();
-      ReplayNextBatch(log_used_);
+      ReplayNextBatch();
     });
     for (int32_t i = 0; i < parity_units; ++i) {
       // Representative parity locations spread across stripes and disks.
       const int64_t stripe =
           (replay_position_ + i) % std::max<int64_t>(layout_->num_stripes(), 1);
       const BlockLoc pl = layout_->ParityLocation(stripe);
-      if (pl.disk == failed_disk_) {
+      if (pl.disk == failed_disk()) {
         // The stripe's parity lives on the dead disk; the image stays
         // applied only logically until the sweep rewrites the block.
         sim_->After(0, [join] { join->Dec(true); });
         continue;
       }
       IssueDiskOp(pl.disk, pl.byte_offset, unit, /*is_write=*/false,
-                  [this, pl, unit, join](bool) {
+                  DiskOpPurpose::kRebuildRead, [this, pl, unit, join](bool) {
                     IssueDiskOp(pl.disk, pl.byte_offset, unit, /*is_write=*/true,
+                                DiskOpPurpose::kRebuildWrite,
                                 [join](bool) { join->Dec(true); });
                   });
     }
@@ -310,135 +282,64 @@ void ParityLogController::ReplayNextBatch(int64_t remaining_bytes) {
   };
   const int64_t aligned = std::max<int64_t>(
       sector, (batch_bytes / sector) * sector);
-  const int32_t log_disk = log_disk_cursor_ == failed_disk_
-                               ? (log_disk_cursor_ + 1) % cfg_.num_disks
+  const int32_t log_disk = log_disk_cursor_ == failed_disk()
+                               ? (log_disk_cursor_ + 1) % num_disks()
                                : log_disk_cursor_;
   IssueDiskOp(log_disk, log_start, aligned, /*is_write=*/false,
-              std::move(after_log));
+              DiskOpPurpose::kRebuildRead, std::move(after_log));
 }
 
 // --- Failure machinery ------------------------------------------------------------
 
-bool ParityLogController::FailDisk(int32_t disk) {
-  if (disk < 0 || disk >= cfg_.num_disks || failed_disk_ >= 0 ||
-      recovering_disk_ >= 0) {
-    return false;
-  }
-  failed_disk_ = disk;
-  disks_[static_cast<size_t>(disk)]->Fail();
-  return true;
-}
+// --- Failure recovery -------------------------------------------------------------
 
-bool ParityLogController::ReplaceDisk(int32_t disk) {
-  if (disk != failed_disk_ || disk < 0) {
-    return false;
-  }
-  disks_[static_cast<size_t>(disk)]->Replace();
-  failed_disk_ = -1;
-  recovering_disk_ = disk;
-  recovery_frontier_ = 0;
-  // The replacement mechanism is blank; model its contents as zeroes.
+void ParityLogController::ReconstructStripe(int64_t stripe, int32_t column) {
+  const int32_t target = recovering_disk();
+  const int32_t n = layout_->data_blocks_per_stripe();
+  const int64_t unit = layout_->stripe_unit();
+  const BlockLoc pl = layout_->ParityLocation(stripe);
+  const int32_t j_target = column < n ? column : -1;
+  const int64_t target_off =
+      j_target >= 0 ? layout_->DataLocation(stripe, j_target).byte_offset
+                    : pl.byte_offset;
+  // Logical recovery first, under the lock. Parity is always live (the
+  // images are durable), so both directions are exact: no loss mode.
   if (content_ != nullptr) {
-    for (int64_t s : content_->TouchedStripes()) {
-      for (int32_t j = 0; j < layout_->data_blocks_per_stripe(); ++j) {
-        if (layout_->DataDisk(s, j) == disk) {
-          content_->ZeroBlock(s, j);
-        }
-      }
-      if (layout_->ParityDisk(s) == disk) {
-        content_->ZeroBlock(s, content_->ParityColumn());
-      }
-    }
-  }
-  return true;
-}
-
-bool ParityLogController::StartReconstruction(std::function<void()> done) {
-  if (recovering_disk_ < 0 || reconstruction_active_) {
-    return false;
-  }
-  reconstruction_active_ = true;
-  reconstruction_done_ = std::move(done);
-  ReconstructNextStripe(0);
-  return true;
-}
-
-void ParityLogController::ReconstructNextStripe(int64_t stripe) {
-  // Declustered layouts leave some stripes entirely off the recovering disk;
-  // they need no sweep work (left-symmetric never skips: every stripe uses
-  // every disk).
-  while (stripe < layout_->num_stripes() &&
-         !layout_->StripeUsesDisk(stripe, recovering_disk_)) {
-    ++stripe;
-  }
-  if (stripe >= layout_->num_stripes()) {
-    reconstruction_active_ = false;
-    recovering_disk_ = -1;
-    recovery_frontier_ = 0;
-    auto done = std::move(reconstruction_done_);
-    reconstruction_done_ = nullptr;
-    if (done) {
-      done();
-    }
-    return;
-  }
-  locks_.Acquire(stripe, LockMode::kExclusive, [this, stripe] {
-    const int32_t target = recovering_disk_;
-    const int32_t n = layout_->data_blocks_per_stripe();
-    const int64_t unit = layout_->stripe_unit();
-    const BlockLoc pl = layout_->ParityLocation(stripe);
-    int32_t j_target = -1;
-    for (int32_t j = 0; j < n; ++j) {
-      if (layout_->DataDisk(stripe, j) == target) {
-        j_target = j;
-        break;
-      }
-    }
-    const int64_t target_off =
-        j_target >= 0 ? layout_->DataLocation(stripe, j_target).byte_offset
-                      : pl.byte_offset;
-    // Logical recovery first, under the lock. Parity is always live (the
-    // images are durable), so both directions are exact: no loss mode.
-    if (content_ != nullptr) {
-      if (j_target >= 0) {
-        content_->ReconstructBlock(stripe, j_target);
-      } else {
-        content_->RefreshParity(stripe);
-      }
-    }
-    auto advance = [this, stripe](bool) {
-      ++stripes_rebuilt_;
-      recovery_frontier_ = stripe + 1;
-      locks_.Release(stripe, LockMode::kExclusive);
-      ReconstructNextStripe(stripe + 1);
-    };
-    auto write_phase = [this, unit, target, target_off, advance](bool) {
-      IssueDiskOp(target, target_off, unit, /*is_write=*/true,
-                  [advance](bool) mutable { advance(true); });
-    };
-    // n reads either way: n-1 survivors + parity for a data target, all n
-    // data blocks for a parity target.
-    JoinBlock* read_join = joins_.Make(n, std::move(write_phase));
-    for (int32_t j = 0; j < n; ++j) {
-      if (j == j_target) {
-        continue;
-      }
-      const BlockLoc dl = layout_->DataLocation(stripe, j);
-      IssueDiskOp(dl.disk, dl.byte_offset, unit,
-                  /*is_write=*/false, [read_join](bool) { read_join->Dec(true); });
-    }
     if (j_target >= 0) {
-      IssueDiskOp(pl.disk, pl.byte_offset, unit, /*is_write=*/false,
-                  [read_join](bool) { read_join->Dec(true); });
+      content_->ReconstructBlock(stripe, j_target);
+    } else {
+      content_->RefreshParity(stripe);
     }
-  });
+  }
+  auto write_phase = [this, stripe, unit, target, target_off](bool) {
+    IssueDiskOp(target, target_off, unit, /*is_write=*/true,
+                DiskOpPurpose::kRecoveryWrite, [this, stripe](bool) {
+                  ++stripes_rebuilt_;
+                  StripeReconstructed(stripe);
+                });
+  };
+  // n reads either way: n-1 survivors + parity for a data target, all n
+  // data blocks for a parity target.
+  JoinBlock* read_join = joins_.Make(n, std::move(write_phase));
+  for (int32_t j = 0; j < n; ++j) {
+    if (j == j_target) {
+      continue;
+    }
+    const BlockLoc dl = layout_->DataLocation(stripe, j);
+    IssueDiskOp(dl.disk, dl.byte_offset, unit, /*is_write=*/false,
+                DiskOpPurpose::kRecoveryRead, [read_join](bool) { read_join->Dec(true); });
+  }
+  if (j_target >= 0) {
+    IssueDiskOp(pl.disk, pl.byte_offset, unit, /*is_write=*/false,
+                DiskOpPurpose::kRecoveryRead, [read_join](bool) { read_join->Dec(true); });
+  }
 }
 
 SchemeState ParityLogController::State() const {
   SchemeState st;
-  st.failed_disk = failed_disk_;
-  st.recovering_disk = recovering_disk_;
-  st.reconstruction_active = reconstruction_active_;
+  st.failed_disk = failed_disk();
+  st.recovering_disk = recovering_disk();
+  st.reconstruction_active = reconstruction_active();
   st.rebuild_active = replaying_;
   st.dirty_marks = PendingImagesBytes();
   st.parity_lag_bytes = 0.0;  // Full redundancy at all times.
@@ -449,7 +350,7 @@ SchemeStats ParityLogController::Stats() const {
   SchemeStats s;
   s.rebuild_passes = log_replays_;
   s.stripes_rebuilt = stripes_rebuilt_;
-  s.disk_ops_total = disk_ops_;
+  s.disk_ops_total = TotalDiskOps();
   return s;
 }
 

@@ -26,30 +26,25 @@
 // rotated across disks per log segment; full redundancy means the exposure
 // statistics of this controller are identically zero.
 //
-// Failure machinery (ArrayScheme): because every parity-update image is
-// durable (NVRAM first, then the on-disk log), the stripe's parity
-// information is recoverable at all times -- degraded reads and the
-// replacement-disk reconstruction sweep are lossless, and the content model
-// tracks the post-replay parity directly. A write whose data disk is out
-// exists only as its image until the sweep restores the block; log flushes
-// and replay parity updates simply skip the dead disk.
+// Failure machinery (over ArrayScheme's shared fail/replace/sweep engine):
+// because every parity-update image is durable (NVRAM first, then the
+// on-disk log), the stripe's parity information is recoverable at all times
+// -- degraded reads and the replacement-disk reconstruction sweep are
+// lossless, and the content model tracks the post-replay parity directly. A
+// write whose data disk is out exists only as its image until the sweep
+// restores the block; log flushes and replay parity updates simply skip the
+// dead disk.
 
 #ifndef AFRAID_CORE_PARITY_LOG_CONTROLLER_H_
 #define AFRAID_CORE_PARITY_LOG_CONTROLLER_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "array/content.h"
-#include "array/controller.h"
-#include "array/layout.h"
 #include "array/scheme.h"
-#include "array/stripe_lock.h"
 #include "core/array_config.h"
-#include "disk/disk_model.h"
+#include "obs/probe.h"
 #include "sim/arena.h"
 #include "sim/simulator.h"
 
@@ -74,29 +69,18 @@ struct ParityLogConfig {
 class ParityLogController : public ArrayScheme {
  public:
   ParityLogController(Simulator* sim, const ArrayConfig& config,
-                      const ParityLogConfig& log_config);
+                      const ParityLogConfig& log_config, Probe probe = {});
   ~ParityLogController() override;
 
   void Submit(const ClientRequest& request, RequestDone done) override;
-  int64_t DataCapacityBytes() const override { return layout_->data_capacity_bytes(); }
 
   // --- ArrayScheme interface ---
   const char* SchemeName() const override { return "parity-log"; }
   std::string PolicyLabel() const override { return "ParityLog"; }
-  int32_t num_disks() const override { return cfg_.num_disks; }
-  DiskModel& disk(int32_t d) override { return *disks_[d]; }
-  bool FailDisk(int32_t disk) override;
-  bool ReplaceDisk(int32_t disk) override;
-  bool StartReconstruction(std::function<void()> done) override;
   SchemeState State() const override;
   SchemeStats Stats() const override;
 
   // --- Introspection ---
-  const ArrayLayout& layout() const override { return *layout_; }
-  const ContentModel* content() const override { return content_.get(); }
-  int32_t failed_disk() const { return failed_disk_; }
-  int32_t recovering_disk() const { return recovering_disk_; }
-  uint64_t DiskOpsIssued() const { return disk_ops_; }
   uint64_t LogFlushes() const { return log_flushes_; }
   uint64_t LogReplays() const { return log_replays_; }
   // Writes that arrived while the log was hard-full and had to wait for a
@@ -124,11 +108,7 @@ class ParityLogController : public ArrayScheme {
   // Degraded path: the segment's block is rebuilt from the survivors and the
   // parity (lossless; the pending images make parity always recoverable).
   void DegradedReadSegment(const Segment& seg, JoinBlock* parent);
-  void ReconstructNextStripe(int64_t stripe);
-  bool DiskUnavailable(int32_t disk, int64_t stripe) const {
-    return disk == failed_disk_ ||
-           (disk == recovering_disk_ && stripe >= recovery_frontier_);
-  }
+  void ReconstructStripe(int64_t stripe, int32_t column) override;
   // Content bookkeeping for one committed write segment: data tags plus the
   // always-recoverable parity over the touched range.
   void UpdateContentForWrite(uint64_t request_id, const Segment& seg);
@@ -137,31 +117,15 @@ class ParityLogController : public ArrayScheme {
   void AppendImages(int64_t bytes);
   void FlushBuffer();
   void StartReplay();
-  void ReplayNextBatch(int64_t remaining_bytes);
-  void IssueDiskOp(int32_t disk, int64_t byte_offset, int64_t length, bool is_write,
-                   DiskDone done);
+  void ReplayNextBatch();
 
-  Simulator* sim_;
-  ArrayConfig cfg_;
   ParityLogConfig log_cfg_;
-  std::vector<std::unique_ptr<DiskModel>> disks_;
-  std::unique_ptr<ArrayLayout> layout_;
-  StripeLockTable locks_;
-  std::unique_ptr<ContentModel> content_;
 
   // Steady-state pooled storage (see DESIGN.md, "Arena reuse contract").
-  JoinPool joins_;
-  std::vector<Segment> split_scratch_;  // Consumed synchronously per request.
   std::vector<StalledWrite> stalled_;   // Writes waiting for replay.
   std::vector<StalledWrite> runnable_scratch_;
 
-  // Failure machinery (same state machine as the other schemes).
-  int32_t failed_disk_ = -1;
-  int32_t recovering_disk_ = -1;
-  int64_t recovery_frontier_ = 0;
-  bool reconstruction_active_ = false;
   uint64_t stripes_rebuilt_ = 0;  // Stripes restored by reconstruction sweeps.
-  std::function<void()> reconstruction_done_;
 
   int64_t nvram_used_ = 0;   // Bytes of images in the NVRAM buffer.
   int64_t log_used_ = 0;     // Bytes of images in the on-disk log region.
@@ -172,7 +136,6 @@ class ParityLogController : public ArrayScheme {
   static constexpr double kHighWater = 0.75;
   static constexpr double kLowWater = 0.25;
 
-  uint64_t disk_ops_ = 0;
   uint64_t log_flushes_ = 0;
   uint64_t log_replays_ = 0;
   uint64_t hard_stalls_ = 0;

@@ -40,7 +40,7 @@ SchemeInfo MakeRaid6Info(const char* name, const char* description,
   info.parity_blocks = 2;
   info.avail_scheme = RedundancyScheme::kRaid5;
   info.create = [mode](const SchemeContext& ctx) -> std::unique_ptr<ArrayScheme> {
-    return std::make_unique<Raid6Controller>(ctx.sim, ctx.config, mode);
+    return std::make_unique<Raid6Controller>(ctx.sim, ctx.config, mode, ctx.probe);
   };
   info.data_capacity = [](const ArrayConfig& cfg) { return ParityCapacity(cfg, 2); };
   return info;
@@ -84,7 +84,7 @@ std::vector<SchemeInfo> BuiltIns() {
     info.avail_scheme = RedundancyScheme::kRaid5;
     info.create = [](const SchemeContext& ctx) -> std::unique_ptr<ArrayScheme> {
       return std::make_unique<ParityLogController>(ctx.sim, ctx.config,
-                                                   ParityLogConfig{});
+                                                   ParityLogConfig{}, ctx.probe);
     };
     info.data_capacity = [](const ArrayConfig& cfg) {
       // The log region at the end of each disk is not client-visible.
@@ -106,7 +106,7 @@ std::vector<SchemeInfo> BuiltIns() {
     info.requires_even_disks = true;
     info.avail_scheme = RedundancyScheme::kRaid5;
     info.create = [](const SchemeContext& ctx) -> std::unique_ptr<ArrayScheme> {
-      return std::make_unique<MirrorController>(ctx.sim, ctx.config);
+      return std::make_unique<MirrorController>(ctx.sim, ctx.config, ctx.probe);
     };
     info.data_capacity = [](const ArrayConfig& cfg) {
       // Mirroring stripes plainly over the columns; parity declustering does
@@ -121,22 +121,12 @@ std::vector<SchemeInfo> BuiltIns() {
   return schemes;
 }
 
-std::vector<SchemeInfo>& Schemes() {
-  static std::vector<SchemeInfo>* schemes = new std::vector<SchemeInfo>(BuiltIns());
+const std::vector<SchemeInfo>& Schemes() {
+  static const std::vector<SchemeInfo>* schemes = new std::vector<SchemeInfo>(BuiltIns());
   return *schemes;
 }
 
 }  // namespace
-
-void SchemeRegistry::Register(SchemeInfo info) {
-  for (SchemeInfo& existing : Schemes()) {
-    if (existing.name == info.name) {
-      existing = std::move(info);
-      return;
-    }
-  }
-  Schemes().push_back(std::move(info));
-}
 
 const SchemeInfo* SchemeRegistry::Find(const std::string& name) {
   for (const SchemeInfo& info : Schemes()) {

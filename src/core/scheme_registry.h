@@ -4,7 +4,7 @@
 // parity logging, mirrored striping) implements the ArrayScheme interface;
 // this registry maps the stable scheme-name strings used by CLIs, fleet
 // configs and test grids onto factories, so harnesses can construct any
-// scheme -- including ones registered later -- without a string-switch.
+// scheme without a string-switch.
 //
 // Names are stable wire format (fleet reports, CI grids):
 //   "afraid"        AfraidController (policy-driven deferred parity)
@@ -32,7 +32,7 @@
 namespace afraid {
 
 // Everything a scheme factory may need. Factories ignore fields that do not
-// apply to them (only "afraid" consults `policy`, `avail` and `probe`).
+// apply to them (only "afraid" consults `policy` and `avail`).
 struct SchemeContext {
   Simulator* sim = nullptr;
   ArrayConfig config;
@@ -64,13 +64,10 @@ struct SchemeInfo {
 
 class SchemeRegistry {
  public:
-  // Registers a scheme (replacing any previous entry with the same name).
-  static void Register(SchemeInfo info);
-
   // nullptr when `name` is unknown.
   static const SchemeInfo* Find(const std::string& name);
 
-  // Registered names, built-ins first, in registration order.
+  // Registered names, in registration order.
   static std::vector<std::string> List();
 
   // Copy of `config` adjusted so the named scheme can be constructed from

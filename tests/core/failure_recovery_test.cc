@@ -144,7 +144,7 @@ TEST_F(FailRig, ReconstructionRestoresFullRedundancy) {
   ctl_->StartReconstruction([&done] { done = true; });
   sim_.RunToEnd();
   ASSERT_TRUE(done);
-  EXPECT_EQ(ctl_->recovering_disk(), -1);
+  EXPECT_EQ(ctl_->State().recovering_disk, -1);
   EXPECT_EQ(ctl_->LossEvents(), 0u);  // Everything was redundant.
   for (int i = 0; i < 6; ++i) {
     ExpectLogical(static_cast<int64_t>(i) * 4 * 8192, 8192, tags[i]);

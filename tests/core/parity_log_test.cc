@@ -48,7 +48,7 @@ TEST_F(PlRig, SmallWriteCostsTwoDataIos) {
   driver_->Submit(0, 8192, true);
   sim_.RunToEnd();
   // Read old data + write new data; the image stays in NVRAM (no flush yet).
-  EXPECT_EQ(ctl_->DiskOpsIssued(), 2u);
+  EXPECT_EQ(ctl_->TotalDiskOps(), 2u);
   EXPECT_EQ(ctl_->LogFlushes(), 0u);
   EXPECT_EQ(ctl_->PendingImagesBytes(), 8192);
 }
@@ -100,7 +100,7 @@ TEST_F(PlRig, ReadsAreSingleIos) {
   Build();
   driver_->Submit(0, 8192, false);
   sim_.RunToEnd();
-  EXPECT_EQ(ctl_->DiskOpsIssued(), 1u);
+  EXPECT_EQ(ctl_->TotalDiskOps(), 1u);
 }
 
 TEST_F(PlRig, AlwaysFullyRedundant) {

@@ -2,8 +2,10 @@
 // ArrayScheme interface alone: seed known content, quiesce, fail a data
 // disk, serve degraded reads and writes, replace the disk, run the
 // reconstruction sweep with no concurrent traffic, and check every
-// reconstructed sector against the functional ContentModel. A scheme added
-// to the registry is picked up automatically.
+// reconstructed sector against the functional ContentModel. Also pins the
+// shared failure engine's contract: its refusal rules, and the trace events
+// and per-purpose op counts every scheme gets from it. A scheme added to the
+// registry is picked up automatically.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,8 @@
 #include "array/scheme.h"
 #include "core/experiment.h"
 #include "core/scheme_registry.h"
+#include "obs/probe.h"
+#include "obs/tracer.h"
 #include "sim/simulator.h"
 
 namespace afraid {
@@ -38,7 +42,7 @@ ArrayConfig TinyConfig() {
 // identical end-to-end exercise with the declustered parity layout.
 class SchemeFailureTest : public ::testing::TestWithParam<std::string> {
  protected:
-  void Build() {
+  void Build(Probe probe = {}) {
     scheme_ = GetParam();
     ArrayConfig base = TinyConfig();
     const auto plus = scheme_.find('+');
@@ -49,7 +53,7 @@ class SchemeFailureTest : public ::testing::TestWithParam<std::string> {
     }
     cfg_ = SchemeRegistry::Normalize(scheme_, base);
     SchemeContext ctx{&sim_, cfg_, PolicySpec::AfraidBaseline(),
-                      AvailabilityParamsFor(cfg_), {}};
+                      AvailabilityParamsFor(cfg_), probe};
     ctl_ = SchemeRegistry::Create(scheme_, ctx);
     ASSERT_NE(ctl_, nullptr);
     if (base.layout == LayoutKind::kDeclustered) {
@@ -190,10 +194,83 @@ TEST_P(SchemeFailureTest, MistimedManagementOpsAreRefusedWithoutStateChange) {
   bool done = false;
   EXPECT_TRUE(ctl_->StartReconstruction([&done] { done = true; }));
   EXPECT_FALSE(ctl_->StartReconstruction([] {}));  // Already sweeping.
+
+  // While the sweep runs no disk may fail -- the recovering one included --
+  // and nothing may be replaced. This is why every op the sweep issues
+  // completes with ok == true.
+  const SchemeState sweeping = ctl_->State();
+  EXPECT_TRUE(sweeping.reconstruction_active);
+  EXPECT_EQ(sweeping.recovering_disk, 0);
+  for (int32_t d = 0; d < cfg_.num_disks; ++d) {
+    EXPECT_FALSE(ctl_->FailDisk(d)) << "disk " << d;
+    EXPECT_FALSE(ctl_->ReplaceDisk(d)) << "disk " << d;
+  }
+  const SchemeState after = ctl_->State();
+  EXPECT_EQ(after.failed_disk, sweeping.failed_disk);
+  EXPECT_EQ(after.recovering_disk, sweeping.recovering_disk);
+  EXPECT_EQ(after.reconstruction_active, sweeping.reconstruction_active);
+  EXPECT_EQ(after.rebuild_active, sweeping.rebuild_active);
+  EXPECT_EQ(after.dirty_marks, sweeping.dirty_marks);
+  EXPECT_EQ(after.loss_events, sweeping.loss_events);
+  EXPECT_EQ(after.bytes_lost, sweeping.bytes_lost);
+
   sim_.RunToEnd();
   EXPECT_TRUE(done);
   EXPECT_EQ(ctl_->State().failed_disk, -1);
   EXPECT_EQ(ctl_->State().recovering_disk, -1);
+}
+
+TEST_P(SchemeFailureTest, TracedFailReplaceReconstructIsVisible) {
+  Tracer tracer;
+  Build(Probe(&tracer));
+  WriteBlock(0);
+  const int32_t victim = ctl_->layout().DataDisk(0, 0);
+  ASSERT_TRUE(ctl_->FailDisk(victim));
+  ASSERT_TRUE(ctl_->ReplaceDisk(victim));
+  bool done = false;
+  ASSERT_TRUE(ctl_->StartReconstruction([&done] { done = true; }));
+  sim_.RunToEnd();
+  ASSERT_TRUE(done);
+
+  const std::string victim_name = "disk" + std::to_string(victim);
+  int fail_instants = 0;
+  int replace_instants = 0;
+  int sweep_begins = 0;
+  int sweep_ends = 0;
+  int recovery_reads = 0;
+  int recovery_writes = 0;
+  for (const TraceEvent& ev : tracer.events()) {
+    if (ev.phase == 'i' && ev.name == "fail " + victim_name) {
+      ++fail_instants;
+    } else if (ev.phase == 'i' && ev.name == "replace " + victim_name) {
+      ++replace_instants;
+    } else if (ev.phase == 'b' && ev.name == "reconstruction") {
+      ++sweep_begins;
+    } else if (ev.phase == 'e' && ev.name == "reconstruction") {
+      ++sweep_ends;
+    } else if (ev.phase == 'X' && ev.name == "recovery read") {
+      ++recovery_reads;
+    } else if (ev.phase == 'X' && ev.name == "recovery write") {
+      ++recovery_writes;
+      // Redundancy was fresh at the failure, so the sweep writes only the
+      // replacement, and the span sits on that disk's own track.
+      EXPECT_EQ(tracer.tracks()[static_cast<size_t>(ev.track)], victim_name);
+    }
+  }
+  EXPECT_EQ(fail_instants, 1);
+  EXPECT_EQ(replace_instants, 1);
+  EXPECT_EQ(sweep_begins, 1);
+  EXPECT_EQ(sweep_ends, 1);
+  EXPECT_GT(recovery_reads, 0);
+  EXPECT_GT(recovery_writes, 0);
+
+  // Every op is counted under exactly one purpose.
+  uint64_t by_purpose = 0;
+  for (int32_t p = 0; p < static_cast<int32_t>(DiskOpPurpose::kNumPurposes); ++p) {
+    by_purpose += ctl_->DiskOps(static_cast<DiskOpPurpose>(p));
+  }
+  EXPECT_EQ(by_purpose, ctl_->Stats().disk_ops_total);
+  EXPECT_GT(by_purpose, 0u);
 }
 
 std::string SchemeTestName(const ::testing::TestParamInfo<std::string>& info) {
