@@ -13,10 +13,10 @@
 //                       (src/core/scheme_registry.h) instead of the default
 //                       RAID 0 / RAID 5 / AFRAID comparison; `--scheme list`
 //                       prints the registry and exits
-//   --stream            replay through the fixed-memory streaming pipeline
-//                       (TraceChunkReader + StreamingPlanCompiler) instead of
-//                       loading the whole trace; prints a trailing
-//                       "streaming:" line with peak plan-segment memory
+//   --stream            read the trace in fixed-size chunks
+//                       (TraceChunkReader) instead of loading it whole; prints
+//                       a trailing "streaming:" line with peak plan and
+//                       read-buffer memory
 //   --chunk-bytes N     streaming read-chunk size (default 4 MiB)
 //   --record PATH       write the resolved workload to PATH in the text trace
 //                       format and exit (pin a synthetic preset to disk)
@@ -28,7 +28,7 @@
 //
 // Without flags the output is byte-identical to the pinned golden transcript;
 // with --stream only the first line and the trailing "streaming:" line differ
-// from the monolithic replay of the same trace.
+// from the in-memory replay of the same trace.
 //
 // Set AFRAID_OBS_DIR=<dir> to record each scheme's run: <dir>/<scheme>/ gets
 // report.json, metrics.jsonl and a Chrome-trace timeline (trace.json) to open

@@ -4,13 +4,14 @@
 // Every trace record's layout mapping -- its Split() into stripe-unit
 // segments, plus the (disk, physical offset) of its first unit -- depends
 // only on the record and the array geometry, not on any simulated state. A
-// RequestPlan therefore resolves the whole trace through the ArrayLayout once,
-// at load time, into two flat POD arrays: one PlanRecord per trace record
-// and one shared Segment pool the records' spans point into. Replay then
-// walks the plan instead of re-deriving the mapping per request, and the
-// controllers consume the precompiled segments via
+// RequestPlan therefore resolves a run of records through the ArrayLayout
+// once, ahead of their arrivals, into two flat POD arrays: one PlanRecord
+// per trace record and one shared Segment pool the records' spans point
+// into. Replay then walks the plan instead of re-deriving the mapping per
+// request, and the controllers consume the precompiled segments via
 // ClientRequest::plan_segs/plan_seg_count (see request.h) instead of calling
-// SplitInto in the hot loop.
+// SplitInto in the hot loop. The replayer (plan_stream.h) compiles a trace
+// one fixed window of records at a time into recycled plans.
 //
 // The plan encodes the *same* mapping SplitInto produces (a pure
 // precomputation; tests assert segment-for-segment equality), so a planned
@@ -30,7 +31,7 @@
 namespace afraid {
 
 // One trace record, pre-resolved through the layout. POD; lives in a flat
-// array sized len(trace).
+// array with one entry per compiled record.
 struct PlanRecord {
   SimTime time = 0;              // Arrival time (same as the trace record).
   int64_t offset = 0;            // Logical byte offset.
@@ -46,8 +47,8 @@ struct PlanRecord {
 
 class RequestPlan {
  public:
-  // An empty plan, to be filled by Compile(). The streaming pipeline keeps a
-  // small ring of these and recompiles them in place, chunk after chunk.
+  // An empty plan, to be filled by Compile(). The replayer keeps a small
+  // ring of these and recompiles them in place, window after window.
   RequestPlan() = default;
 
   // Pre-resolves every record of `trace` against `layout`. The layout must
@@ -64,7 +65,7 @@ class RequestPlan {
   void Compile(const TraceRecord* records, size_t count,
                const ArrayLayout& layout);
 
-  // Resident bytes of the flat arrays (capacity, not size): the streaming
+  // Resident bytes of the flat arrays (capacity, not size): the replay
   // pipeline's per-slot contribution to peak-memory accounting.
   size_t MemoryBytes() const {
     return records_.capacity() * sizeof(PlanRecord) +

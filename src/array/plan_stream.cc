@@ -1,35 +1,42 @@
 #include "array/plan_stream.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace afraid {
 
-void StreamingPlanReplayer::Feed(const RequestPlan* plan) {
+void StreamingPlanReplayer::Feed(const TraceRecord* records, size_t count) {
   if (destroyed_) {
-    dropped_ += plan->size();
-    if (ring_ != nullptr) {
-      ring_->Release(plan);
-    }
+    dropped_ += count;
     return;
   }
-  live_.push_back(LivePlan{plan});
-  if (starved_) {
-    starved_ = false;
-    ScheduleNext();
-  }
+  assert(starved_ && "Feed a replayer only once it starves");
+  uncompiled_ = records;
+  uncompiled_count_ = count;
+  starved_ = false;
+  ScheduleNext();
 }
 
 void StreamingPlanReplayer::ScheduleNext() {
-  // Skip exhausted plans (including freshly fed empty ones).
-  while (cur_ < live_.size() && next_rec_ >= live_[cur_].plan->size()) {
-    live_[cur_].exhausted = true;
+  if (cur_ < live_.size() && next_rec_ >= live_[cur_].plan->size()) {
     ++cur_;
     next_rec_ = 0;
   }
   TryRetire();
-  if (cur_ >= live_.size()) {
-    starved_ = true;
-    return;
+  if (cur_ == live_.size()) {
+    if (uncompiled_count_ == 0) {
+      starved_ = true;
+      return;
+    }
+    // The current window is exhausted: compile the next one into a slot
+    // (TryRetire above may just have freed one).
+    const size_t n = std::min(uncompiled_count_, kPlanWindowRecords);
+    RequestPlan* plan = ring_.Acquire();
+    plan->Compile(uncompiled_, n, *layout_);
+    ring_.NotePeak();
+    live_.push_back(LivePlan{plan});
+    uncompiled_ += n;
+    uncompiled_count_ -= n;
   }
   const PlanRecord& r = live_[cur_].plan->record(next_rec_);
   pending_ = sim_->At(std::max(r.time, sim_->Now()), [this] { Fire(); });
@@ -62,15 +69,9 @@ void StreamingPlanReplayer::Fire() {
 }
 
 void StreamingPlanReplayer::TryRetire() {
-  // Only plans strictly before the current one are retirable (cur_ > 0
-  // guards the plan still being submitted, even when it is exhausted and
-  // cur_ has not yet moved past it -- it has, by construction, whenever its
-  // exhausted flag is set).
-  while (cur_ > 0 && !live_.empty() && live_.front().exhausted &&
-         live_.front().outstanding == 0) {
-    if (ring_ != nullptr) {
-      ring_->Release(live_.front().plan);
-    }
+  // Only windows before the current one are fully submitted.
+  while (cur_ > 0 && live_.front().outstanding == 0) {
+    ring_.Release(live_.front().plan);
     live_.pop_front();
     --cur_;
   }
@@ -95,13 +96,14 @@ void StreamingPlanReplayer::Destroy() {
     sim_->Cancel(pending_);
     pending_valid_ = false;
   }
-  // Everything not yet submitted is dropped; mark the tail plans exhausted
-  // so they retire as soon as their in-flight requests (if any) complete.
-  for (size_t i = cur_; i < live_.size(); ++i) {
-    const size_t first = (i == cur_) ? next_rec_ : 0;
-    dropped_ += live_[i].plan->size() - first;
-    live_[i].exhausted = true;
+  // Everything not yet submitted is dropped: the current window's tail and
+  // the records never compiled. Moving cur_ past the current window lets it
+  // retire as soon as its in-flight requests (if any) complete.
+  if (cur_ < live_.size()) {
+    dropped_ += live_[cur_].plan->size() - next_rec_;
   }
+  dropped_ += uncompiled_count_;
+  uncompiled_count_ = 0;
   cur_ = live_.size();
   next_rec_ = 0;
   starved_ = false;  // Destroyed shards just drain; no more feeding needed.

@@ -1,26 +1,29 @@
-// The streaming half of the compiled replay pipeline: compile each trace
-// chunk into a recycled RequestPlan slot while the previous chunk replays.
+// The replay half of the compiled replay pipeline, and its only replay
+// path: every replay -- an in-memory Trace, a streamed trace file, one fleet
+// shard -- hands StreamingPlanReplayer spans of trace records, and the
+// replayer compiles them into recycled RequestPlan slots one fixed window at
+// a time. Plan memory is O(window), independent of trace length.
 //
 // Lifetime is the crux. Controllers hold Span<Segment> views into a plan
 // across asynchronous continuations (request.h), so a plan slot must not be
 // recompiled while any request submitted from it is still in flight. The
-// replayer therefore keeps every fed plan "live" until (a) all its records
-// have been submitted and (b) all its submitted requests have completed --
-// tracked via the driver's 1-based sequential completion ids, which the
-// replayer mirrors because it is the driver's only submitter. Only then does
-// the slot return to the ring for reuse. Under the paper's open-loop
-// arrivals the in-flight window is tiny, so the ring converges to two or
-// three slots: memory is O(chunk + outstanding window), independent of trace
-// length.
+// replayer therefore keeps every window's plan "live" until (a) all its
+// records have been submitted and (b) all its submitted requests have
+// completed -- tracked via the driver's 1-based sequential completion ids,
+// which the replayer mirrors because it is the driver's only submitter. Only
+// then does the slot return to the ring for reuse. Under the paper's
+// open-loop arrivals the in-flight window is tiny, so the ring converges to
+// two or three slots.
 //
-// Trajectory equivalence with the monolithic PlanReplayer (experiment.cc) is
-// by construction: arrivals are chained -- each arrival event submits, then
-// schedules the next arrival at max(record.time, now) -- exactly like the
-// monolithic replayer. When a chunk runs dry mid-event the replayer goes
-// "starved"; the driving loop feeds the next chunk *before* stepping the
-// simulator again, so the next arrival is inserted into the event queue at
-// the same point in the event sequence as if the whole trace were one plan.
-// Tests assert byte-identical latencies and reports on every workload.
+// Arrivals are chained: each arrival event submits, then schedules the next
+// arrival at max(record.time, now). The next window is compiled only when
+// the current one is exhausted, inside that arrival event; compiling touches
+// no simulated state, so windowing cannot move an event. When a fed span
+// runs dry the replayer goes "starved"; the driving loop feeds the next span
+// *before* stepping the simulator again, so the next arrival is inserted
+// into the event queue at the same point in the event sequence as if the
+// whole trace were one span. Tests assert byte-identical reports at every
+// chunk size.
 
 #ifndef AFRAID_ARRAY_PLAN_STREAM_H_
 #define AFRAID_ARRAY_PLAN_STREAM_H_
@@ -34,13 +37,17 @@
 #include "array/layout.h"
 #include "array/plan.h"
 #include "sim/simulator.h"
-#include "trace/trace_stream.h"
+#include "trace/trace.h"
 
 namespace afraid {
 
+// Trace records compiled into one plan slot: about 0.75 MiB of plan (a
+// 56-byte PlanRecord plus at least one 32-byte Segment per record).
+inline constexpr size_t kPlanWindowRecords = 8192;
+
 // A grow-on-demand pool of reusable RequestPlan slots. Acquire() prefers a
 // released slot; the ring only grows while replay genuinely needs more
-// chunks in flight at once.
+// windows in flight at once.
 class PlanSlotRing {
  public:
   RequestPlan* Acquire() {
@@ -79,84 +86,57 @@ class PlanSlotRing {
   size_t peak_bytes_ = 0;
 };
 
-// Pulls chunks from a TraceChunkReader and compiles each into a ring slot.
-// The caller must Release() plans back to ring() when replay retires them
-// (StreamingPlanReplayer does this automatically).
-class StreamingPlanCompiler {
- public:
-  // `layout` must outlive the compiler (the owning controller does).
-  StreamingPlanCompiler(TraceChunkReader* reader, const ArrayLayout& layout)
-      : reader_(reader), layout_(&layout) {}
-
-  // Compiles the next non-empty chunk; nullptr at end of trace or on error
-  // (check status()).
-  const RequestPlan* Next() {
-    if (!reader_->Next()) {
-      return nullptr;
-    }
-    RequestPlan* plan = ring_.Acquire();
-    plan->Compile(reader_->chunk().records.data(),
-                  reader_->chunk().records.size(), *layout_);
-    ring_.NotePeak();
-    return plan;
-  }
-
-  const TraceStatus& status() const { return reader_->status(); }
-  PlanSlotRing* ring() { return &ring_; }
-
- private:
-  TraceChunkReader* reader_;
-  const ArrayLayout* layout_;
-  PlanSlotRing ring_;
-};
-
-// Replays a sequence of fed plans through chained arrival events, retiring
-// each plan's slot once fully submitted and completed. Push model: the
-// driving loop alternates Feed(plan) with stepping the simulator until
-// starved() (out of records) or Idle().
+// Replays fed spans of trace records through chained arrival events,
+// compiling each span kPlanWindowRecords at a time and retiring each
+// window's slot once fully submitted and completed. Push model: the driving
+// loop alternates Feed(span) with stepping the simulator until starved()
+// (out of records) or Idle().
 //
 // The replayer must be the driver's only submitter, and the driver's
 // completion listener must forward every completion id to OnComplete()
 // (composing with any other listener work, e.g. per-request latency capture).
 class StreamingPlanReplayer {
  public:
-  StreamingPlanReplayer(Simulator* sim, HostDriver* driver, PlanSlotRing* ring)
-      : sim_(sim), driver_(driver), ring_(ring) {}
+  // `layout` must outlive the replayer (the owning controller does).
+  StreamingPlanReplayer(Simulator* sim, HostDriver* driver,
+                        const ArrayLayout& layout)
+      : sim_(sim), driver_(driver), layout_(&layout) {}
 
-  // Hands the replayer the next plan. If it was starved, the next arrival is
-  // scheduled immediately (before any simulator step, preserving event
-  // order). A destroyed replayer counts the plan's records as dropped and
-  // releases the slot at once.
-  void Feed(const RequestPlan* plan);
+  // Hands a starved replayer the next span of records. The span must stay
+  // valid until the replayer starves again: its windows are compiled as
+  // replay reaches them. The first arrival is scheduled at once (before any
+  // simulator step, preserving event order). A destroyed replayer counts the
+  // span as dropped.
+  void Feed(const TraceRecord* records, size_t count);
 
-  // No more plans will arrive; after this, starved() means "trace done".
-  void FinishFeeding() { feeding_done_ = true; }
-
-  // Out of records to submit: the driving loop must Feed the next chunk (or
-  // FinishFeeding and drain).
+  // Out of records to submit: the driving loop must Feed the next span, or
+  // drain the simulator when the trace is done.
   bool starved() const { return starved_; }
 
   // Forward from the driver's completion listener.
   void OnComplete(uint64_t id);
 
   // Stop submitting (fleet mgmt "destroy"): cancels the pending arrival and
-  // counts every unsubmitted record -- current and future feeds -- as
-  // dropped. In-flight requests still complete and retire their slots.
+  // counts every record not yet submitted -- the rest of the current window,
+  // the uncompiled rest of the span and every later span -- as dropped.
+  // In-flight requests still complete and retire their slots.
   void Destroy();
   bool destroyed() const { return destroyed_; }
 
+  const PlanSlotRing& ring() const { return ring_; }
   uint64_t submitted() const { return submitted_; }
   uint64_t dropped() const { return dropped_; }
   int64_t submitted_read_bytes() const { return submitted_read_bytes_; }
   int64_t submitted_write_bytes() const { return submitted_write_bytes_; }
 
  private:
+  // One compiled window. Windows before cur_ are fully submitted; the front
+  // one retires once its requests have all completed.
   struct LivePlan {
     const RequestPlan* plan = nullptr;
     uint64_t outstanding = 0;  // Submitted but not yet completed.
-    uint64_t first_id = 0;     // Driver ids of this plan's submissions
+    uint64_t first_id = 0;     // Driver ids of this window's submissions
     uint64_t last_id = 0;      // (0 = none submitted yet).
-    bool exhausted = false;    // All records submitted (or dropped).
   };
 
   void ScheduleNext();
@@ -165,15 +145,17 @@ class StreamingPlanReplayer {
 
   Simulator* sim_;
   HostDriver* driver_;
-  PlanSlotRing* ring_;
+  const ArrayLayout* layout_;
+  PlanSlotRing ring_;
   std::deque<LivePlan> live_;
-  size_t cur_ = 0;       // Index into live_ of the plan being submitted.
+  const TraceRecord* uncompiled_ = nullptr;  // Rest of the fed span.
+  size_t uncompiled_count_ = 0;
+  size_t cur_ = 0;       // Index into live_ of the window being submitted.
   size_t next_rec_ = 0;  // Next record within live_[cur_].
   uint64_t next_id_ = 1;  // Mirrors the driver's sequential id assignment.
   EventId pending_{};
   bool pending_valid_ = false;
   bool starved_ = true;
-  bool feeding_done_ = false;
   bool destroyed_ = false;
   uint64_t submitted_ = 0;
   uint64_t dropped_ = 0;

@@ -1,11 +1,9 @@
 #include "core/experiment.h"
 
-#include <algorithm>
 #include <cassert>
 #include <memory>
 
 #include "array/host_driver.h"
-#include "array/plan.h"
 #include "array/plan_stream.h"
 #include "array/scheme.h"
 #include "core/scheme_registry.h"
@@ -19,40 +17,6 @@
 
 namespace afraid {
 namespace {
-
-// Feeds precompiled plan records into the host driver at their arrival
-// times. Arrival events are chained (one pending event at a time) so the
-// event queue stays small even for multi-million-record traces. The plan's
-// arrival schedule and segments match the trace exactly (array/plan.h), so a
-// planned replay walks the bit-identical event trajectory a record-by-record
-// replay would.
-class PlanReplayer {
- public:
-  PlanReplayer(Simulator* sim, HostDriver* driver, const RequestPlan& plan)
-      : sim_(sim), driver_(driver), plan_(plan) {}
-
-  void Start() { ScheduleNext(); }
-  bool Finished() const { return next_ >= plan_.size(); }
-
- private:
-  void ScheduleNext() {
-    if (Finished()) {
-      return;
-    }
-    const PlanRecord& r = plan_.record(next_);
-    sim_->At(std::max(r.time, sim_->Now()), [this, &r] {
-      const Span<Segment> segs = plan_.segments(next_);
-      driver_->SubmitPlanned(r.offset, r.size, r.is_write, segs.data, segs.count);
-      ++next_;
-      ScheduleNext();
-    });
-  }
-
-  Simulator* sim_;
-  HostDriver* driver_;
-  const RequestPlan& plan_;
-  size_t next_ = 0;
-};
 
 // Registers the standard metric set against the live components. Samplers
 // only *read* component state, so a snapshot cannot alter the simulation.
@@ -136,12 +100,6 @@ SimReport Experiment::Run() {
   assert(controller != nullptr && "Experiment: unknown scheme name");
   HostDriver driver(&sim, controller.get(), cfg_.MaxActive(), cfg_.host_sched,
                     Probe(tracer.get()));
-  // Compile the replay plan against the exact layout the controller derived
-  // from cfg_: every record's mapping is resolved here, once, so the
-  // simulation loop never divides by the stripe geometry. The plan outlives
-  // the run, so controllers hold spans into it across continuations.
-  const ArrayLayout& plan_layout = controller->layout();
-
   std::unique_ptr<MetricsRegistry> metrics;
   if (observe_ && obs_.metrics) {
     metrics = std::make_unique<MetricsRegistry>();
@@ -152,93 +110,70 @@ SimReport Experiment::Run() {
   trace_status_ = TraceStatus::Ok();
   stream_stats_ = StreamStats{};
 
-  if (streaming) {
-    // Streaming path: pull chunks through the bounded plan ring, feeding the
-    // replayer and stepping the simulator until it starves for the next
-    // chunk. Feeding happens before the next Step, so arrivals enter the
-    // event queue at the same point in the event sequence as the monolithic
-    // replayer's chained arrivals -- the trajectory is byte-identical.
-    TraceChunkReader reader(trace_file_, stream_opts_);
-    StreamingPlanCompiler compiler(&reader, plan_layout);
-    StreamingPlanReplayer replayer(&sim, &driver, compiler.ring());
-    driver.SetCompletionListener(
-        [&replayer](uint64_t id, double, bool) { replayer.OnComplete(id); });
+  // Every source replays through the one windowed plan pipeline, compiled
+  // against the exact layout the controller derived from cfg_.
+  StreamingPlanReplayer replayer(&sim, &driver, controller->layout());
+  driver.SetCompletionListener(
+      [&replayer](uint64_t id, double, bool) { replayer.OnComplete(id); });
 
-    const SimDuration interval =
-        obs_.metrics_interval > 0 ? obs_.metrics_interval : Milliseconds(100);
-    SimTime next_snap = 0;
-    if (metrics != nullptr) {
-      metrics->Snapshot(sim.Now());
-      next_snap = sim.Now() + interval;
-    }
-    // Snapshot-between-events stepping, identical to the monolithic loop
-    // below; `more` lets the feed loop break out at starvation.
-    const auto pump = [&](const auto& more) {
-      while (!sim.Idle() && more()) {
-        if (metrics != nullptr) {
-          const SimTime horizon = sim.NextEventTime();
-          while (next_snap < horizon) {
-            metrics->Snapshot(next_snap);
-            next_snap += interval;
-          }
-        }
-        sim.Step();
-      }
-    };
-    while (const RequestPlan* p = compiler.Next()) {
-      driver.ReserveLatencySamples(reader.records_read());
-      replayer.Feed(p);
-      pump([&replayer] { return !replayer.starved(); });
-    }
-    replayer.FinishFeeding();
-    pump([] { return true; });
-    if (metrics != nullptr) {
-      metrics->Snapshot(sim.Now());
-    }
-    driver.SetCompletionListener(nullptr);
-
-    trace_status_ = reader.status();
-    workload_name = reader.name();
-    stream_stats_.chunks = reader.chunks_read();
-    stream_stats_.records = reader.records_read();
-    stream_stats_.peak_plan_bytes = compiler.ring()->peak_bytes();
-    stream_stats_.peak_buffer_bytes = reader.peak_buffer_bytes();
-    stream_stats_.ring_slots = compiler.ring()->slots();
-  } else {
-    const afraid::Trace& trace = *trace_;
-    workload_name = trace.name;
-    const RequestPlan plan(trace, plan_layout);
-    driver.ReserveLatencySamples(plan.size());
-    PlanReplayer replayer(&sim, &driver, plan);
-    replayer.Start();
-
-    // Run the arrival schedule plus whatever work it leaves behind.
-    // Background rebuilds triggered by trailing idleness run here too;
-    // measurement of the lag statistics ends at the instant the last request
-    // completes.
-    if (metrics == nullptr) {
-      sim.RunToEnd();
-    } else {
-      // Same event trajectory, but with snapshots interleaved *between*
-      // events: before each event we record every whole sampling interval
-      // that elapses strictly before it. The clock never advances for a
-      // snapshot, so the run (and its SimReport) stays bit-identical to the
-      // unobserved one.
-      const SimDuration interval =
-          obs_.metrics_interval > 0 ? obs_.metrics_interval : Milliseconds(100);
-      metrics->Snapshot(sim.Now());
-      SimTime next_snap = sim.Now() + interval;
-      while (!sim.Idle()) {
+  // Steps the simulator while `more()` holds, interleaving metric snapshots
+  // *between* events: before each event it records every whole sampling
+  // interval that elapses strictly before it. The clock never advances for a
+  // snapshot, so an observed run (and its SimReport) stays bit-identical to
+  // the unobserved one.
+  const SimDuration interval =
+      obs_.metrics_interval > 0 ? obs_.metrics_interval : Milliseconds(100);
+  SimTime next_snap = 0;
+  if (metrics != nullptr) {
+    metrics->Snapshot(sim.Now());
+    next_snap = sim.Now() + interval;
+  }
+  const auto pump = [&](const auto& more) {
+    while (!sim.Idle() && more()) {
+      if (metrics != nullptr) {
         const SimTime horizon = sim.NextEventTime();
         while (next_snap < horizon) {
           metrics->Snapshot(next_snap);
           next_snap += interval;
         }
-        sim.Step();
       }
-      metrics->Snapshot(sim.Now());
+      sim.Step();
     }
+  };
+  // Feeds one span and replays it until the replayer starves for the next.
+  // Feeding happens before the next Step, so the span's first arrival enters
+  // the event queue exactly where a chained arrival would have.
+  const auto replay = [&](const TraceRecord* records, size_t count) {
+    replayer.Feed(records, count);
+    pump([&replayer] { return !replayer.starved(); });
+  };
+
+  if (streaming) {
+    TraceChunkReader reader(trace_file_, stream_opts_);
+    while (reader.Next()) {
+      driver.ReserveLatencySamples(reader.records_read());
+      replay(reader.chunk().records.data(), reader.chunk().records.size());
+    }
+    trace_status_ = reader.status();
+    workload_name = reader.name();
+    stream_stats_.chunks = reader.chunks_read();
+    stream_stats_.peak_buffer_bytes = reader.peak_buffer_bytes();
+  } else {
+    workload_name = trace_->name;
+    driver.ReserveLatencySamples(trace_->Size());
+    replay(trace_->records.data(), trace_->Size());
   }
+  // Run whatever work the arrivals leave behind. Background rebuilds
+  // triggered by trailing idleness run here too; measurement of the lag
+  // statistics ends at the instant the last request completes.
+  pump([] { return true; });
+  if (metrics != nullptr) {
+    metrics->Snapshot(sim.Now());
+  }
+  driver.SetCompletionListener(nullptr);
+  stream_stats_.records = replayer.submitted();
+  stream_stats_.peak_plan_bytes = replayer.ring().peak_bytes();
+  stream_stats_.ring_slots = replayer.ring().slots();
   assert(driver.Drained());
 
   SimReport rep;

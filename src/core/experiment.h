@@ -48,12 +48,15 @@ struct ObserveOptions {
   SimDuration metrics_interval = Milliseconds(100);
 };
 
-// Accounting from a streamed replay (Experiment::TraceFile): how much the
-// fixed-memory pipeline actually held. Peaks depend on chunk size and the
-// in-flight window, never on trace length.
+// Accounting from a replay: how much the windowed plan pipeline
+// (array/plan_stream.h) actually held. Every run fills records,
+// peak_plan_bytes and ring_slots; chunks and peak_buffer_bytes describe the
+// file reader and stay 0 for Trace() and Workload(). Plan peaks depend on
+// the plan window and the in-flight requests, reader peaks on the chunk
+// size, neither on trace length.
 struct StreamStats {
-  int64_t chunks = 0;           // Non-empty chunks compiled and replayed.
-  uint64_t records = 0;         // Trace records ingested.
+  int64_t chunks = 0;           // Non-empty file chunks read and replayed.
+  uint64_t records = 0;         // Trace records replayed.
   size_t peak_plan_bytes = 0;   // High-water mark of all plan-slot arrays.
   size_t peak_buffer_bytes = 0; // High-water mark of the reader's buffers.
   int32_t ring_slots = 0;       // Plan slots the ring converged to.
@@ -85,8 +88,8 @@ class Experiment {
     return *this;
   }
 
-  // Streams the trace file through the chunked plan compiler
-  // (array/plan_stream.h): O(chunk) memory in the trace length, and a
+  // Streams the trace file chunk by chunk (trace/trace_stream.h) into the
+  // replay pipeline: O(chunk) memory in the trace length, and a
   // byte-identical trajectory -- per-request latencies and final report --
   // to loading the same file and replaying it via Trace(). Check
   // trace_status() after Run(); on a parse/file error the report covers the
@@ -103,7 +106,7 @@ class Experiment {
   // Outcome of the TraceFile() ingest (Ok for Trace()/Workload() runs).
   const TraceStatus& trace_status() const { return trace_status_; }
 
-  // Memory/throughput accounting of the last TraceFile() run.
+  // Memory accounting of the last run.
   const StreamStats& stream_stats() const { return stream_stats_; }
 
   // Generates the synthetic workload, sized to the array's client-visible

@@ -96,7 +96,6 @@ void DiskModel::Complete(OpRecord* rec) {
     result.breakdown = rec->bd;
     ++ops_completed_;
     sectors_transferred_ += rec->op.sectors;
-    service_times_.Add(ToMilliseconds(now - rec->service_start));
   }
   // The callback runs in place and may re-enter Submit, which then draws a
   // different record: this one is released only after the callback returns.

@@ -30,7 +30,6 @@
 #include "obs/probe.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
-#include "stats/streaming.h"
 #include "stats/time_weighted.h"
 
 namespace afraid {
@@ -101,7 +100,6 @@ class DiskModel {
   uint64_t OpsCompleted() const { return ops_completed_; }
   int64_t SectorsTransferred() const { return sectors_transferred_; }
   double UtilizationTo(SimTime now) const { return busy_time_.PositiveFractionTo(now); }
-  const StreamingStats& ServiceTimes() const { return service_times_; }
 
  private:
   // One op's context from Submit to completion, at a stable address: filled
@@ -141,7 +139,6 @@ class DiskModel {
   uint64_t ops_completed_ = 0;
   int64_t sectors_transferred_ = 0;
   TimeWeightedValue busy_time_;
-  StreamingStats service_times_;  // Milliseconds.
 };
 
 }  // namespace afraid

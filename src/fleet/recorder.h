@@ -1,7 +1,7 @@
 // Fleet workload recording: serialize a synthetic multi-tenant workload
 // (fleet/tenants.h) to the text trace format, so fleet experiments can pin a
 // generated workload to disk and every scheme replays the identical bytes --
-// monolithically (VolumeManager::Run on the re-parsed trace) or streamed
+// loaded whole (VolumeManager::Run on the re-parsed trace) or streamed
 // (VolumeManager::RunStreamed). The "# tenants N" header carries the tenant
 // count through the round trip into FleetReport::num_tenants.
 //

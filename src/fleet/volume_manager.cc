@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "array/host_driver.h"
-#include "array/plan.h"
 #include "array/plan_stream.h"
 #include "array/scheme.h"
 #include "core/experiment.h"
@@ -50,12 +49,11 @@ struct ShardResult {
   std::unique_ptr<Tracer> tracer;
 };
 
-// One shard as a persistent replay cell: simulator, controller, driver,
-// plan-slot ring and streaming replayer all live across chunks, so the same
-// cell serves both the monolithic path (one Feed with the whole shard trace)
-// and the streamed path (one Feed per routed chunk). Management ops are
-// scheduled lazily, after the first arrival is -- matching the event
-// insertion order of the pre-streaming fleet runner exactly.
+// One shard as a persistent replay cell: simulator, controller, driver and
+// replayer all live across chunks, so the same cell serves Run (one Feed
+// with the whole routed trace) and RunStreamed (one Feed per routed chunk).
+// Management ops are scheduled lazily, after the first arrival is -- the
+// event insertion order every fleet golden was pinned with.
 class ShardCell {
  public:
   ShardCell(const FleetConfig& cfg, int32_t shard,
@@ -81,8 +79,8 @@ class ShardCell {
            ctrl_->DataCapacityBytes());
     driver_ = std::make_unique<HostDriver>(&sim_, ctrl_.get(), acfg.MaxActive(),
                                            acfg.host_sched, probe);
-    replayer_ =
-        std::make_unique<StreamingPlanReplayer>(&sim_, driver_.get(), &ring_);
+    replayer_ = std::make_unique<StreamingPlanReplayer>(&sim_, driver_.get(),
+                                                        ctrl_->layout());
     // Piece latencies by submission order: driver ids are 1-based and
     // assigned in submission order, which is record order.
     driver_->SetCompletionListener(
@@ -92,24 +90,19 @@ class ShardCell {
         });
   }
 
-  // Compiles `n` routed records into a ring slot and hands them to the
-  // replayer. Latency slots are appended (and stay -1.0 for pieces a
-  // destroy later drops) so the completion join sees every routed piece.
+  // Hands `n` routed records to the replayer, which compiles them a window
+  // at a time; they must stay valid until the next Advance returns.
+  // Latency slots are appended (and stay -1.0 for pieces a destroy drops)
+  // so the completion join sees every routed piece.
   void Feed(const TraceRecord* recs, size_t n) {
     result.lat.resize(result.lat.size() + n, -1.0);
-    if (n == 0) {
-      return;
-    }
     fed_ += n;
     driver_->ReserveLatencySamples(fed_);
-    RequestPlan* plan = ring_.Acquire();
-    plan->Compile(recs, n, ctrl_->layout());
-    ring_.NotePeak();
-    replayer_->Feed(plan);
+    replayer_->Feed(recs, n);
   }
 
   // Steps this shard's simulation until the replayer starves for the next
-  // chunk (or the shard drains).
+  // chunk (or a destroyed shard drains).
   void Advance() {
     ScheduleOpsOnce();
     while (!replayer_->starved() && !sim_.Idle()) {
@@ -120,7 +113,6 @@ class ShardCell {
   // No further chunks: drain to completion and harvest the shard report.
   void Finish() {
     ScheduleOpsOnce();
-    replayer_->FinishFeeding();
     sim_.RunToEnd();
     assert(driver_->Drained());
     ShardReport& rep = result.report;
@@ -150,8 +142,6 @@ class ShardCell {
     rep.loss_events = stats.loss_events;
     rep.bytes_lost = stats.bytes_lost;
   }
-
-  size_t peak_plan_bytes() const { return ring_.peak_bytes(); }
 
   ShardResult result;
 
@@ -246,7 +236,6 @@ class ShardCell {
   Simulator sim_;
   std::unique_ptr<ArrayScheme> ctrl_;
   std::unique_ptr<HostDriver> driver_;
-  PlanSlotRing ring_;
   std::unique_ptr<StreamingPlanReplayer> replayer_;
   SimTime degraded_from_ = -1;
   int32_t spares_ = -1;  // Hot spares left; -1 = unlimited legacy stock.
@@ -254,21 +243,12 @@ class ShardCell {
   bool ops_scheduled_ = false;
 };
 
-ShardResult RunShard(const FleetConfig& cfg, int32_t shard, const Trace& strace,
-                     const std::vector<MgmtOp>& ops, bool trace_on) {
-  ShardCell cell(cfg, shard, ops, trace_on);
-  cell.Feed(strace.records.data(), strace.records.size());
-  cell.Finish();
-  return std::move(cell.result);
-}
-
 // Per-logical-record routing flags for the completion join.
 constexpr uint8_t kRecWrite = 1;  // The record was a write.
 constexpr uint8_t kRecSplit = 2;  // The record split across shards.
 
 // Joins per-shard piece latencies back into client-visible requests and
-// assembles the fleet report. Shared verbatim by the monolithic and streamed
-// paths, so both produce field-exact reports from identical shard results.
+// assembles the fleet report.
 FleetReport MergeFleet(const FleetConfig& cfg, const ShardMap& map,
                        const std::string& workload, int32_t num_tenants,
                        std::vector<ShardResult> results,
@@ -392,6 +372,90 @@ FleetReport MergeFleet(const FleetConfig& cfg, const ShardMap& map,
   return rep;
 }
 
+// The one fleet replay loop. Each Replay() routes a chunk of logical records
+// through the shard map into reused per-shard buffers, then feeds and
+// advances every shard in parallel: a per-chunk barrier via the
+// deterministic sweep, and shards never share state, so the result is
+// bit-identical for any thread count. Run passes the in-memory trace as one
+// chunk; RunStreamed passes each chunk the reader parses.
+class FleetReplay {
+ public:
+  FleetReplay(const FleetConfig& cfg, const ShardMap& map,
+              const std::vector<MgmtOp>& ops,
+              const VolumeManager::RunOptions& opts)
+      : cfg_(cfg),
+        map_(map),
+        opts_(opts),
+        trace_shards_(opts.trace_shards && !opts.artifacts_dir.empty()),
+        shard_ops_(static_cast<size_t>(cfg.num_shards)),
+        shard_chunk_(static_cast<size_t>(cfg.num_shards)),
+        piece_owner_(static_cast<size_t>(cfg.num_shards)) {
+    for (const MgmtOp& op : ops) {
+      shard_ops_[static_cast<size_t>(op.shard)].push_back(op);
+    }
+    cells_.reserve(static_cast<size_t>(cfg.num_shards));
+    for (int32_t s = 0; s < cfg.num_shards; ++s) {
+      cells_.push_back(std::make_unique<ShardCell>(
+          cfg, s, shard_ops_[static_cast<size_t>(s)], trace_shards_));
+    }
+  }
+
+  // Routes, feeds and replays one chunk. `Record` is TraceRecord or
+  // FleetRecord: routing reads time, offset, size and is_write only.
+  template <typename Record>
+  void Replay(const std::vector<Record>& records) {
+    for (auto& chunk : shard_chunk_) {
+      chunk.clear();
+    }
+    for (const Record& rec : records) {
+      const auto r = static_cast<uint32_t>(rec_flags_.size());
+      map_.SplitRange(rec.offset, rec.size, &scratch_);
+      for (const ShardPiece& p : scratch_) {
+        const auto s = static_cast<size_t>(p.shard);
+        shard_chunk_[s].push_back(
+            TraceRecord{rec.time, p.local_offset, p.length, rec.is_write});
+        piece_owner_[s].push_back(r);
+      }
+      rec_flags_.push_back(
+          static_cast<uint8_t>((rec.is_write ? kRecWrite : 0) |
+                               (scratch_.size() > 1 ? kRecSplit : 0)));
+    }
+    internal::RunSweep(cfg_.num_shards, opts_.threads, [&](int64_t s) {
+      const auto i = static_cast<size_t>(s);
+      cells_[i]->Feed(shard_chunk_[i].data(), shard_chunk_[i].size());
+      cells_[i]->Advance();
+    });
+  }
+
+  // Drains every shard and merges the fleet report.
+  FleetReport Finish(const std::string& workload, int32_t num_tenants) {
+    internal::RunSweep(cfg_.num_shards, opts_.threads, [&](int64_t s) {
+      cells_[static_cast<size_t>(s)]->Finish();
+    });
+    std::vector<ShardResult> results;
+    results.reserve(cells_.size());
+    for (auto& cell : cells_) {
+      results.push_back(std::move(cell->result));
+    }
+    return MergeFleet(cfg_, map_, workload, num_tenants, std::move(results),
+                      piece_owner_, rec_flags_, opts_, trace_shards_);
+  }
+
+ private:
+  const FleetConfig& cfg_;
+  const ShardMap& map_;
+  const VolumeManager::RunOptions& opts_;
+  const bool trace_shards_;
+  std::vector<std::vector<MgmtOp>> shard_ops_;
+  std::vector<std::unique_ptr<ShardCell>> cells_;
+  std::vector<std::vector<TraceRecord>> shard_chunk_;
+  // Join state: the logical record of every routed piece, per shard, and
+  // one flag byte per logical record.
+  std::vector<std::vector<uint32_t>> piece_owner_;
+  std::vector<uint8_t> rec_flags_;
+  std::vector<ShardPiece> scratch_;
+};
+
 }  // namespace
 
 VolumeManager::VolumeManager(const FleetConfig& cfg) : cfg_(cfg) {
@@ -444,120 +508,24 @@ void VolumeManager::SpareAdd(SimTime at, int32_t shard) {
 }
 
 FleetReport VolumeManager::Run(const FleetTrace& trace, const RunOptions& opts) {
-  const int32_t num_shards = cfg_.num_shards;
-
-  // Route every logical record into per-shard traces, remembering which
-  // logical request each piece belongs to for the completion join.
-  std::vector<Trace> shard_traces(static_cast<size_t>(num_shards));
-  std::vector<std::vector<uint32_t>> piece_owner(
-      static_cast<size_t>(num_shards));
-  std::vector<uint8_t> rec_flags(trace.Size(), 0);
-  std::vector<ShardPiece> scratch;
-  for (size_t r = 0; r < trace.Size(); ++r) {
-    const FleetRecord& rec = trace.records[r];
-    map_.SplitRange(rec.offset, rec.size, &scratch);
-    for (const ShardPiece& p : scratch) {
-      const auto s = static_cast<size_t>(p.shard);
-      shard_traces[s].records.push_back(
-          TraceRecord{rec.time, p.local_offset, p.length, rec.is_write});
-      piece_owner[s].push_back(static_cast<uint32_t>(r));
-    }
-    rec_flags[r] = static_cast<uint8_t>((rec.is_write ? kRecWrite : 0) |
-                                        (scratch.size() > 1 ? kRecSplit : 0));
-  }
-  for (int32_t s = 0; s < num_shards; ++s) {
-    shard_traces[static_cast<size_t>(s)].name =
-        trace.name + "/shard" + std::to_string(s);
-  }
-
-  std::vector<std::vector<MgmtOp>> shard_ops(static_cast<size_t>(num_shards));
-  for (const MgmtOp& op : ops_) {
-    shard_ops[static_cast<size_t>(op.shard)].push_back(op);
-  }
-
-  const bool trace_shards = opts.trace_shards && !opts.artifacts_dir.empty();
-  std::vector<ShardResult> results = ParallelSweep(
-      num_shards,
-      [&](int64_t s) {
-        const auto i = static_cast<size_t>(s);
-        return RunShard(cfg_, static_cast<int32_t>(s), shard_traces[i],
-                        shard_ops[i], trace_shards);
-      },
-      opts.threads);
-
-  return MergeFleet(cfg_, map_, trace.name, trace.num_tenants,
-                    std::move(results), piece_owner, rec_flags, opts,
-                    trace_shards);
+  FleetReplay replay(cfg_, map_, ops_, opts);
+  replay.Replay(trace.records);
+  return replay.Finish(trace.name, trace.num_tenants);
 }
 
 FleetReport VolumeManager::RunStreamed(const std::string& path,
                                        const StreamOptions& sopts,
                                        const RunOptions& opts,
                                        TraceStatus* status) {
-  const int32_t num_shards = cfg_.num_shards;
   TraceChunkReader reader(path, sopts);
-
-  std::vector<std::vector<MgmtOp>> shard_ops(static_cast<size_t>(num_shards));
-  for (const MgmtOp& op : ops_) {
-    shard_ops[static_cast<size_t>(op.shard)].push_back(op);
-  }
-
-  const bool trace_shards = opts.trace_shards && !opts.artifacts_dir.empty();
-  std::vector<std::unique_ptr<ShardCell>> cells;
-  cells.reserve(static_cast<size_t>(num_shards));
-  for (int32_t s = 0; s < num_shards; ++s) {
-    cells.push_back(std::make_unique<ShardCell>(
-        cfg_, s, shard_ops[static_cast<size_t>(s)], trace_shards));
-  }
-
-  // Chunk loop: route this chunk's records into reused per-shard buffers,
-  // then feed-and-advance every shard in parallel (a per-chunk barrier via
-  // the same deterministic sweep Run uses; shards never share state, so the
-  // result is bit-identical for any thread count).
-  std::vector<std::vector<TraceRecord>> shard_chunk(
-      static_cast<size_t>(num_shards));
-  std::vector<std::vector<uint32_t>> piece_owner(
-      static_cast<size_t>(num_shards));
-  std::vector<uint8_t> rec_flags;  // Join state: one byte per logical record.
-  std::vector<ShardPiece> scratch;
+  FleetReplay replay(cfg_, map_, ops_, opts);
   while (reader.Next()) {
-    for (auto& chunk : shard_chunk) {
-      chunk.clear();
-    }
-    for (const TraceRecord& rec : reader.chunk().records) {
-      const auto r = static_cast<uint32_t>(rec_flags.size());
-      map_.SplitRange(rec.offset, rec.size, &scratch);
-      for (const ShardPiece& p : scratch) {
-        const auto s = static_cast<size_t>(p.shard);
-        shard_chunk[s].push_back(
-            TraceRecord{rec.time, p.local_offset, p.length, rec.is_write});
-        piece_owner[s].push_back(r);
-      }
-      rec_flags.push_back(
-          static_cast<uint8_t>((rec.is_write ? kRecWrite : 0) |
-                               (scratch.size() > 1 ? kRecSplit : 0)));
-    }
-    internal::RunSweep(num_shards, opts.threads, [&](int64_t s) {
-      const auto i = static_cast<size_t>(s);
-      cells[i]->Feed(shard_chunk[i].data(), shard_chunk[i].size());
-      cells[i]->Advance();
-    });
+    replay.Replay(reader.chunk().records);
   }
   if (status != nullptr) {
     *status = reader.status();
   }
-
-  internal::RunSweep(num_shards, opts.threads,
-                     [&](int64_t s) { cells[static_cast<size_t>(s)]->Finish(); });
-
-  std::vector<ShardResult> results;
-  results.reserve(cells.size());
-  for (auto& cell : cells) {
-    results.push_back(std::move(cell->result));
-  }
-  return MergeFleet(cfg_, map_, reader.name(), reader.tenants(),
-                    std::move(results), piece_owner, rec_flags, opts,
-                    trace_shards);
+  return replay.Finish(reader.name(), reader.tenants());
 }
 
 std::string FleetReportToJson(const FleetReport& rep) {

@@ -5,11 +5,13 @@
 // logical volume over `num_shards` arrays, each a full simulated array
 // instance (disks, controller, host driver) built from the same ArrayConfig
 // the single-array experiments use. Run() routes a multi-tenant arrival
-// stream (fleet/tenants.h) through the map into per-shard traces, compiles
-// each into the allocation-free RequestPlan/HostDriver fast path, and
-// drives the shards in parallel with the deterministic sweep machinery
-// (core/sweep.h): every shard is an independent simulation cell, so the
-// fleet result is bit-identical for any AFRAID_BENCH_THREADS.
+// stream (fleet/tenants.h) through the map into per-shard record spans,
+// replays each through the windowed plan pipeline (array/plan_stream.h) on
+// the allocation-free HostDriver fast path, and drives the shards in
+// parallel with the deterministic sweep machinery (core/sweep.h): every
+// shard is an independent simulation cell, so the fleet result is
+// bit-identical for any AFRAID_BENCH_THREADS. RunStreamed() runs the same
+// loop chunk by chunk over a recorded trace file.
 //
 // Requests that straddle a chunk boundary split into per-shard pieces; the
 // client-visible latency of a split request is the maximum over its pieces
@@ -206,21 +208,23 @@ class VolumeManager {
     bool trace_shards = false;  // Also write <dir>/shard<k>/trace.json.
   };
 
-  // Routes `trace`, runs every shard to completion (parallel, deterministic)
-  // and merges the fleet report.
+  // Routes `trace` as a single chunk, runs every shard to completion
+  // (parallel, deterministic) and merges the fleet report. Plans stay
+  // O(window) per shard; the routed pieces and the completion join scale
+  // with the trace.
   FleetReport Run(const FleetTrace& trace, const RunOptions& opts);
   FleetReport Run(const FleetTrace& trace) { return Run(trace, RunOptions()); }
 
   // Streams a recorded trace file (trace/recorder.h format; the "# tenants"
   // header carries the tenant count into the report) through the chunked
-  // pipeline: each chunk is routed through the shard map, compiled into
-  // per-shard plan rings and replayed -- all shards advancing under the
-  // deterministic sweep -- before the next chunk is read. Trace text and
-  // plans stay O(chunk); only the per-request completion join (one latency
-  // and a flag byte per logical request, which the monolithic path keeps
-  // too) scales with the trace. The FleetReport is field-exact vs loading
-  // the same file and calling Run(), for any thread count. On a parse/file
-  // error (*status if non-null) the report covers the replayed prefix.
+  // pipeline: each chunk is routed through the shard map and replayed --
+  // all shards advancing under the deterministic sweep -- before the next
+  // chunk is read. Trace text and routed pieces stay O(chunk), plans
+  // O(window); only the per-request completion join (one latency and a flag
+  // byte per logical request, which Run keeps too) scales with the trace.
+  // The FleetReport is field-exact vs loading the same file and calling
+  // Run(), for any thread count. On a parse/file error (*status if
+  // non-null) the report covers the replayed prefix.
   FleetReport RunStreamed(const std::string& path, const StreamOptions& sopts,
                           const RunOptions& opts,
                           TraceStatus* status = nullptr);

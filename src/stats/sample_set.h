@@ -2,14 +2,16 @@
 //
 // Latency distributions in the experiments are small enough (<= a few million
 // samples) that retaining everything is cheaper and more faithful than a
-// sketch. Percentile() uses nth_element, so queries are O(n) but mutate only
-// a scratch copy kept inside the object.
+// sketch. Percentile() selects with nth_element, so each query is O(n) and
+// permutes the retained samples in place (Samples() keeps the multiset, not
+// the insertion order).
 
 #ifndef AFRAID_STATS_SAMPLE_SET_H_
 #define AFRAID_STATS_SAMPLE_SET_H_
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -22,7 +24,6 @@ class SampleSet {
   void Add(double x) {
     samples_.push_back(x);
     summary_.Add(x);
-    sorted_ = false;
   }
 
   uint64_t Count() const { return summary_.Count(); }
@@ -32,18 +33,25 @@ class SampleSet {
   double StdDev() const { return summary_.StdDev(); }
   double Sum() const { return summary_.Sum(); }
 
-  // Exact p-quantile with linear interpolation, p in [0, 1].
+  // Exact p-quantile with linear interpolation, p in [0, 1]: the order
+  // statistics at ranks floor(p(n-1)) and the one after it, blended. Rank
+  // lo is selected in place; rank lo+1 is then the minimum of the part above
+  // it, so the result equals the sorted-array formula bit for bit.
   double Percentile(double p) {
     assert(p >= 0.0 && p <= 1.0);
     if (samples_.empty()) {
       return 0.0;
     }
-    EnsureSorted();
     const double pos = p * static_cast<double>(samples_.size() - 1);
     const size_t lo = static_cast<size_t>(pos);
-    const size_t hi = std::min(lo + 1, samples_.size() - 1);
+    const auto at = samples_.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(samples_.begin(), at, samples_.end());
+    const double lo_value = *at;
+    const double hi_value =
+        lo + 1 < samples_.size() ? *std::min_element(at + 1, samples_.end())
+                                 : lo_value;
     const double frac = pos - static_cast<double>(lo);
-    return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+    return lo_value * (1.0 - frac) + hi_value * frac;
   }
 
   double Median() { return Percentile(0.5); }
@@ -57,20 +65,11 @@ class SampleSet {
   void Reset() {
     samples_.clear();
     summary_.Reset();
-    sorted_ = false;
   }
 
  private:
-  void EnsureSorted() {
-    if (!sorted_) {
-      std::sort(samples_.begin(), samples_.end());
-      sorted_ = true;
-    }
-  }
-
   std::vector<double> samples_;
   StreamingStats summary_;
-  bool sorted_ = false;
 };
 
 }  // namespace afraid

@@ -2,7 +2,7 @@
 // TraceRecords to the text trace format ("# afraid-trace v1" header, one
 // "<time_ns> <R|W> <offset> <size>" line per record) through a fixed-size
 // write buffer, so synthetic workloads of any length can be pinned to disk
-// and replayed -- monolithically or streamed -- through the one pipeline.
+// and replayed -- loaded whole or streamed -- through the one pipeline.
 //
 // The byte format is exactly SerializeTrace's: recording a Trace and writing
 // SerializeTrace(trace) to a file produce identical bytes (tested).

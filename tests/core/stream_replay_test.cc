@@ -1,7 +1,8 @@
-// Streamed replay (Experiment::TraceFile) vs the monolithic compiled path
-// (Experiment::Trace): the trajectory -- every latency percentile, counter,
-// and availability output in the report -- must be identical at every chunk
-// size, and the pipeline's memory must depend on the chunk, not the trace.
+// Streamed replay (Experiment::TraceFile) vs replay of the same trace held
+// in memory (Experiment::Trace): the trajectory -- every latency percentile,
+// counter, and availability output in the report -- must be identical at
+// every chunk size, and the pipeline's memory must depend on the chunk and
+// the plan window, not the trace, for both sources.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <filesystem>
 #include <string>
 
+#include "array/plan_stream.h"
 #include "core/experiment.h"
 #include "core/policy.h"
 #include "obs/report_io.h"
@@ -30,10 +32,15 @@ Trace PresetTrace(const std::string& name, uint64_t max_requests) {
   return GenerateWorkload(p, max_requests, Hours(24));
 }
 
-SimReport RunMonolithic(const Trace& trace, const PolicySpec& spec) {
+SimReport RunInMemory(const Trace& trace, const PolicySpec& spec,
+                      StreamStats* stats = nullptr) {
   Experiment exp{ArrayConfig()};
   exp.Policy(spec).Trace(trace);
-  return exp.Run();
+  const SimReport rep = exp.Run();
+  if (stats != nullptr) {
+    *stats = exp.stream_stats();
+  }
+  return rep;
 }
 
 SimReport RunStreamed(const std::string& path, const PolicySpec& spec,
@@ -56,28 +63,28 @@ void ExpectSameReport(const SimReport& a, const SimReport& b) {
   EXPECT_EQ(SimReportToJson(a), SimReportToJson(b));
 }
 
-TEST(StreamReplay, MatchesMonolithicAcrossChunkSizes) {
+TEST(StreamReplay, MatchesInMemoryAcrossChunkSizes) {
   const Trace trace = PresetTrace("cello-usr", 1500);
   const std::string path = TempPath("afraid_stream_replay_cello.txt");
   ASSERT_TRUE(RecordTrace(trace, path).ok);
 
-  const SimReport mono = RunMonolithic(trace, PolicySpec::AfraidBaseline());
-  ASSERT_GT(mono.requests, 0u);
+  const SimReport in_memory = RunInMemory(trace, PolicySpec::AfraidBaseline());
+  ASSERT_GT(in_memory.requests, 0u);
 
   // Tiny chunks force many feed/replay interleavings and plan-slot reuse;
-  // the huge chunk degenerates to one plan, like the monolithic path.
+  // the huge chunk degenerates to one span, like the in-memory source.
   for (const size_t chunk : {200u, 1024u, 16384u, 4u << 20}) {
     StreamStats stats;
     const SimReport streamed =
         RunStreamed(path, PolicySpec::AfraidBaseline(), chunk, &stats);
-    ExpectSameReport(streamed, mono);
+    ExpectSameReport(streamed, in_memory);
     EXPECT_EQ(stats.records, trace.records.size()) << "chunk=" << chunk;
     EXPECT_GT(stats.peak_plan_bytes, 0u);
   }
   std::remove(path.c_str());
 }
 
-TEST(StreamReplay, MatchesMonolithicAcrossSchemesAndWorkloads) {
+TEST(StreamReplay, MatchesInMemoryAcrossSchemesAndWorkloads) {
   for (const char* workload : {"cello-usr", "ATT"}) {
     const Trace trace = PresetTrace(workload, 800);
     const std::string path = TempPath("afraid_stream_replay_multi.txt");
@@ -85,9 +92,9 @@ TEST(StreamReplay, MatchesMonolithicAcrossSchemesAndWorkloads) {
     for (const PolicySpec& spec : {PolicySpec::Raid5(),
                                    PolicySpec::AfraidBaseline(),
                                    PolicySpec::Raid0()}) {
-      const SimReport mono = RunMonolithic(trace, spec);
+      const SimReport in_memory = RunInMemory(trace, spec);
       const SimReport streamed = RunStreamed(path, spec, 4096);
-      ExpectSameReport(streamed, mono);
+      ExpectSameReport(streamed, in_memory);
     }
     std::remove(path.c_str());
   }
@@ -117,7 +124,28 @@ TEST(StreamReplay, PlanMemoryIndependentOfTraceLength) {
   std::remove(long_path.c_str());
 }
 
-// A parse error mid-file surfaces through trace_status() with the monolithic
+// An in-memory trace replays through the same plan window: 8x the records
+// leaves the plan high-water mark where it was, instead of growing with the
+// trace.
+TEST(StreamReplay, InMemoryPlanMemoryIndependentOfTraceLength) {
+  const Trace short_trace = PresetTrace("netware", 2 * kPlanWindowRecords);
+  const Trace long_trace = PresetTrace("netware", 16 * kPlanWindowRecords);
+  ASSERT_EQ(long_trace.Size(), 16 * kPlanWindowRecords);
+
+  StreamStats short_stats;
+  StreamStats long_stats;
+  RunInMemory(short_trace, PolicySpec::AfraidBaseline(), &short_stats);
+  RunInMemory(long_trace, PolicySpec::AfraidBaseline(), &long_stats);
+
+  EXPECT_EQ(short_stats.records, short_trace.Size());
+  EXPECT_EQ(long_stats.records, long_trace.Size());
+  EXPECT_GT(short_stats.peak_plan_bytes, 0u);
+  EXPECT_GT(long_stats.peak_plan_bytes, 0u);
+  // 2x slack for the in-flight window and allocator rounding.
+  EXPECT_LE(long_stats.peak_plan_bytes, 2 * short_stats.peak_plan_bytes);
+}
+
+// A parse error mid-file surfaces through trace_status() with the whole-file
 // parser's line number; the prefix before the error still replays.
 TEST(StreamReplay, ParseErrorSurfacesWithLineNumber) {
   const std::string path = TempPath("afraid_stream_replay_bad.txt");
@@ -130,9 +158,9 @@ TEST(StreamReplay, ParseErrorSurfacesWithLineNumber) {
     std::fputs("not-a-time R 0 512\n", f);
     std::fclose(f);
   }
-  Trace mono;
-  const TraceStatus mono_st = LoadTraceFile(path, &mono);
-  ASSERT_FALSE(mono_st.ok);
+  Trace loaded;
+  const TraceStatus load_st = LoadTraceFile(path, &loaded);
+  ASSERT_FALSE(load_st.ok);
 
   Experiment exp{ArrayConfig()};
   StreamOptions opts;
@@ -140,8 +168,8 @@ TEST(StreamReplay, ParseErrorSurfacesWithLineNumber) {
   exp.Policy(PolicySpec::AfraidBaseline()).TraceFile(path, opts);
   const SimReport rep = exp.Run();
   EXPECT_FALSE(exp.trace_status().ok);
-  EXPECT_EQ(exp.trace_status().line, mono_st.line);
-  EXPECT_EQ(exp.trace_status().message, mono_st.message);
+  EXPECT_EQ(exp.trace_status().line, load_st.line);
+  EXPECT_EQ(exp.trace_status().message, load_st.message);
   EXPECT_EQ(rep.requests, 50u);  // The valid prefix was replayed.
   std::remove(path.c_str());
 }

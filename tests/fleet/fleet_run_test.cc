@@ -1,12 +1,20 @@
 // End-to-end fleet runs: thread-count invariance (the acceptance bar for
-// the sharded sweep), online management while traffic flows, and the
-// split-request latency join.
+// the sharded sweep), online management while traffic flows, exact drop
+// accounting under destroy, and the split-request latency join.
 
 #include "fleet/volume_manager.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <string>
+#include <vector>
+
+#include "array/plan_stream.h"
+#include "fleet/recorder.h"
 #include "fleet/tenants.h"
+#include "trace/trace_stream.h"
 
 namespace afraid {
 namespace {
@@ -177,6 +185,64 @@ TEST(FleetRun, DestroyDropsRemainingTrafficOnThatShardOnly) {
   EXPECT_EQ(rep.requests + rep.dropped, trace.Size());
   for (size_t s = 1; s < rep.shards.size(); ++s) {
     EXPECT_EQ(rep.shards[s].dropped, 0u);
+  }
+}
+
+// The pieces SplitRange routes to each shard: what that shard must either
+// serve or count as dropped.
+std::vector<uint64_t> RoutedPieces(const VolumeManager& vm,
+                                   const FleetTrace& trace) {
+  std::vector<uint64_t> pieces(static_cast<size_t>(vm.config().num_shards), 0);
+  std::vector<ShardPiece> scratch;
+  for (const FleetRecord& rec : trace.records) {
+    vm.shard_map().SplitRange(rec.offset, rec.size, &scratch);
+    for (const ShardPiece& p : scratch) {
+      ++pieces[static_cast<size_t>(p.shard)];
+    }
+  }
+  return pieces;
+}
+
+// A destroy mid-chunk drops exactly the pieces the shard never served,
+// including those routed to it but not yet compiled into a plan window:
+// for every shard, served + dropped equals what routing sent it, under Run
+// (one chunk) and RunStreamed (small chunks and one big chunk) alike.
+TEST(FleetRun, DestroyMidChunkAccountsForEveryRoutedPiece) {
+  FleetConfig cfg = TinyFleet();
+  cfg.num_shards = 2;
+  VolumeManager vm(cfg);
+  const FleetTrace trace = TinyTenants(vm.VolumeBytes(), 64, 24000);
+  const std::vector<uint64_t> routed = RoutedPieces(vm, trace);
+  vm.Destroy(trace.records[trace.Size() / 10].time, /*shard=*/0);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "afraid_fleet_destroy.txt")
+          .string();
+  ASSERT_TRUE(RecordFleetTrace(trace, path).ok);
+
+  std::vector<FleetReport> reps;
+  reps.push_back(vm.Run(trace));
+  for (const size_t chunk : {4096u, 4u << 20}) {
+    StreamOptions sopts;
+    sopts.chunk_bytes = chunk;
+    TraceStatus st;
+    reps.push_back(
+        vm.RunStreamed(path, sopts, VolumeManager::RunOptions(), &st));
+    ASSERT_TRUE(st.ok) << st.message;
+  }
+  std::remove(path.c_str());
+
+  for (size_t i = 0; i < reps.size(); ++i) {
+    SCOPED_TRACE(i);
+    const FleetReport& rep = reps[i];
+    ASSERT_EQ(rep.shards.size(), routed.size());
+    EXPECT_TRUE(rep.shards[0].destroyed);
+    // More than a window left: the destroy must count uncompiled records.
+    EXPECT_GT(rep.shards[0].dropped, kPlanWindowRecords);
+    EXPECT_EQ(rep.shards[1].dropped, 0u);
+    for (size_t s = 0; s < routed.size(); ++s) {
+      EXPECT_EQ(rep.shards[s].requests + rep.shards[s].dropped, routed[s])
+          << "shard " << s;
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -51,6 +52,16 @@ TEST(StreamingStats, MergeEqualsCombinedStream) {
   EXPECT_EQ(a.Max(), all.Max());
 }
 
+// The sorted-array definition SampleSet::Percentile must reproduce.
+double SortedPercentile(std::vector<double> v, double p) {
+  std::sort(v.begin(), v.end());
+  const double pos = p * static_cast<double>(v.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, v.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return v[lo] * (1.0 - frac) + v[hi] * frac;
+}
+
 TEST(SampleSet, PercentilesExact) {
   SampleSet s;
   for (int i = 100; i >= 1; --i) {
@@ -60,6 +71,30 @@ TEST(SampleSet, PercentilesExact) {
   EXPECT_DOUBLE_EQ(s.Percentile(1.0), 100.0);
   EXPECT_NEAR(s.Median(), 50.5, 1e-9);
   EXPECT_NEAR(s.Percentile(0.95), 95.05, 1e-9);
+
+  // Selection in place must give the sorted-array result bit for bit:
+  // shuffled samples with many ties, the smallest sizes, and queries in an
+  // arbitrary order so each one starts from the previous one's permutation.
+  const double queries[] = {0.95, 0.0, 0.999, 0.5, 1.0, 0.9, 0.99, 0.5, 0.0};
+  Rng rng(7);
+  for (const size_t n : {1u, 2u, 3u, 10u, 1000u, 4097u}) {
+    std::vector<double> values;
+    for (size_t i = 0; i < n; ++i) {
+      // About four copies of each value, at non-integer spacing.
+      values.push_back(0.37 * static_cast<double>(rng.UniformInt(
+                                  0, static_cast<int64_t>(n / 4))));
+    }
+    std::shuffle(values.begin(), values.end(), rng.engine());
+    SampleSet set;
+    for (double x : values) {
+      set.Add(x);
+    }
+    for (const double p : queries) {
+      EXPECT_EQ(set.Percentile(p), SortedPercentile(values, p))
+          << "n=" << n << " p=" << p;
+    }
+    EXPECT_EQ(set.Count(), n);
+  }
 }
 
 TEST(SampleSet, AddAfterPercentileStillCorrect) {
