@@ -6,6 +6,9 @@
 #     `fleet_service --layout L S 8000` for every scheme `fleet_service list`
 #     prints, on both layouts, each run under a `## <scheme> <layout>` header
 #     (the only pinned output that fails and rebuilds every scheme);
+#   * tests/golden/availability_mc_200_3.txt and tests/golden/failure_drill.txt
+#     -- faultsim's endless workload replay, drills and campaign summary
+#     (`availability_mc 200 3`, `failure_drill`);
 #   * BENCH_engine.json -- the micro-benchmark baseline the CI bench gate
 #     compares hot-path timings to (loose factor, Release build);
 #   * BENCH_rebuild.json -- the declustering rebuild comparison (window,
@@ -43,7 +46,8 @@ trap cleanup EXIT
 echo "== configuring Release build in $build"
 cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$build" -j --target trace_replay fleet_service \
-    bench_micro_engine bench_rebuild_decluster >/dev/null
+    availability_mc failure_drill bench_micro_engine bench_rebuild_decluster \
+    >/dev/null
 
 echo "== regenerating tests/golden/trace_replay_cello-usr_2000.txt"
 "$build/examples/trace_replay" cello-usr 2000 \
@@ -57,6 +61,10 @@ for s in $("$build/examples/fleet_service" list | awk '{print $1}'); do
     AFRAID_BENCH_THREADS=1 "$build/examples/fleet_service" --layout "$layout" "$s" 8000
   done
 done > "$stage/fleet_failure_grid_8000.txt"
+
+echo "== regenerating tests/golden/availability_mc_200_3.txt and failure_drill.txt"
+"$build/examples/availability_mc" 200 3 > "$stage/availability_mc_200_3.txt"
+"$build/examples/failure_drill" > "$stage/failure_drill.txt"
 
 echo "== regenerating BENCH_engine.json (Release micro-bench baseline)"
 "$build/bench/bench_micro_engine" \
@@ -88,6 +96,9 @@ mv "$stage/trace_replay_cello-usr_2000.txt" \
    "$repo/tests/golden/trace_replay_cello-usr_2000.txt"
 mv "$stage/fleet_failure_grid_8000.txt" \
    "$repo/tests/golden/fleet_failure_grid_8000.txt"
+mv "$stage/availability_mc_200_3.txt" \
+   "$repo/tests/golden/availability_mc_200_3.txt"
+mv "$stage/failure_drill.txt" "$repo/tests/golden/failure_drill.txt"
 mv "$stage/BENCH_engine.json" "$repo/BENCH_engine.json"
 mv "$stage/BENCH_rebuild.json" "$repo/BENCH_rebuild.json"
 
