@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "array/host_driver.h"
+#include "array/replayer.h"
 #include "bench/bench_common.h"
 #include "core/raid6_controller.h"
 #include "sim/simulator.h"
@@ -31,20 +32,8 @@ Row RunMode(Raid6Mode mode, const Trace& trace) {
   Simulator sim;
   Raid6Controller ctl(&sim, cfg, mode);
   HostDriver driver(&sim, &ctl, cfg.MaxActive());
-  size_t next = 0;
-  std::function<void()> pump = [&] {
-    if (next >= trace.records.size()) {
-      return;
-    }
-    const TraceRecord& r = trace.records[next++];
-    driver.Submit(r.offset, r.size, r.is_write);
-    if (next < trace.records.size()) {
-      sim.At(std::max(trace.records[next].time, sim.Now()), pump);
-    }
-  };
-  if (!trace.records.empty()) {
-    sim.At(trace.records[0].time, pump);
-  }
+  TraceReplayer replayer(&sim, &driver);
+  replayer.Feed(trace.records.data(), trace.Size());
   sim.RunToEnd();
   Row row;
   row.mean_ms = driver.AllLatencies().Mean();

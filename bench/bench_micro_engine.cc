@@ -611,8 +611,8 @@ void BM_FleetRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetRoute);
 
-// A whole (tiny) fleet run per iteration: route, per-shard plan compile,
-// eight independent simulations, and the split-latency join. Guards the
+// A whole (tiny) fleet run per iteration: route, per-shard replay, eight
+// independent simulations, and the split-latency join. Guards the
 // end-to-end cost of the fleet layer the way BM_ControllerWritePath guards
 // one array's write path.
 void BM_FleetThroughput(benchmark::State& state) {
@@ -657,11 +657,11 @@ const std::string& ReplayBenchTracePath() {
   return *path;
 }
 
-// End-to-end streamed replay (TraceChunkReader -> StreamingPlanReplayer's
-// windowed plan-slot ring) with 256 KiB chunks. The CI gate compares this
-// against BM_ReplayThroughputInMemory from the same run: reading and parsing
-// the file chunk by chunk must keep at least 0.9x the throughput of
-// replaying a trace already loaded whole.
+// End-to-end streamed replay (TraceChunkReader -> TraceReplayer) with
+// 256 KiB chunks. The CI gate compares this against
+// BM_ReplayThroughputInMemory from the same run: reading and parsing the
+// file chunk by chunk must keep at least 0.9x the throughput of replaying a
+// trace already loaded whole.
 void BM_ReplayThroughput(benchmark::State& state) {
   const std::string& path = ReplayBenchTracePath();
   ArrayConfig cfg;
@@ -680,7 +680,7 @@ void BM_ReplayThroughput(benchmark::State& state) {
 BENCHMARK(BM_ReplayThroughput);
 
 // The in-memory reference: load and parse the whole file, then replay it
-// through the same windowed pipeline. Same trace, same scheme; only the
+// through the same replayer. Same trace, same scheme; only the
 // trace text and records are O(trace).
 void BM_ReplayThroughputInMemory(benchmark::State& state) {
   const std::string& path = ReplayBenchTracePath();

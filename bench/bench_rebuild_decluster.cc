@@ -34,6 +34,7 @@
 
 #include "array/decluster.h"
 #include "array/host_driver.h"
+#include "array/replayer.h"
 #include "array/scheme.h"
 #include "bench/bench_common.h"
 #include "core/scheme_registry.h"
@@ -103,19 +104,8 @@ RebuildResult RunRebuild(const ArrayConfig& cfg, const Trace& trace,
   std::unique_ptr<ArrayScheme> ctl = SchemeRegistry::Create(kScheme, ctx);
   HostDriver driver(&sim, ctl.get(), /*max_active=*/8);
   driver.ReserveLatencySamples(trace.Size());
-
-  // Open-loop arrivals, one pending event at a time.
-  size_t next = 0;
-  std::function<void()> feed = [&] {
-    while (next < trace.Size() && trace.records[next].time <= sim.Now()) {
-      const TraceRecord& r = trace.records[next++];
-      driver.Submit(r.offset, r.size, r.is_write);
-    }
-    if (next < trace.Size()) {
-      sim.At(trace.records[next].time, [&] { feed(); });
-    }
-  };
-  sim.At(trace.records.front().time, [&] { feed(); });
+  TraceReplayer replayer(&sim, &driver);
+  replayer.Feed(trace.records.data(), trace.Size());
 
   bool in_rebuild = false;
   SampleSet during_ms;

@@ -15,8 +15,8 @@
 //                       prints the registry and exits
 //   --stream            read the trace in fixed-size chunks
 //                       (TraceChunkReader) instead of loading it whole; prints
-//                       a trailing "streaming:" line with peak plan and
-//                       read-buffer memory
+//                       a trailing "streaming:" line with the chunk count and
+//                       peak read-buffer memory
 //   --chunk-bytes N     streaming read-chunk size (default 4 MiB)
 //   --record PATH       write the resolved workload to PATH in the text trace
 //                       format and exit (pin a synthetic preset to disk)
@@ -225,10 +225,8 @@ int main(int argc, char** argv) {
       const StreamStats& s = exp.stream_stats();
       peak.chunks = std::max(peak.chunks, s.chunks);
       peak.records = std::max(peak.records, s.records);
-      peak.peak_plan_bytes = std::max(peak.peak_plan_bytes, s.peak_plan_bytes);
       peak.peak_buffer_bytes =
           std::max(peak.peak_buffer_bytes, s.peak_buffer_bytes);
-      peak.ring_slots = std::max(peak.ring_slots, s.ring_slots);
     }
     std::printf("%-10s %10.2f %10.2f %10.2f %10.1f %12.3g %12.1f\n",
                 rep.policy.c_str(), rep.mean_io_ms, rep.median_io_ms, rep.p95_io_ms,
@@ -238,10 +236,10 @@ int main(int argc, char** argv) {
   std::printf("\nAFRAID goal: RAID 0-like latency, RAID 5-like availability.\n");
   if (stream) {
     std::printf("streaming: chunk_bytes=%zu chunks=%lld records=%llu "
-                "peak_plan_bytes=%zu ring_slots=%d peak_buffer_bytes=%zu\n",
+                "peak_buffer_bytes=%zu\n",
                 chunk_bytes, static_cast<long long>(peak.chunks),
                 static_cast<unsigned long long>(peak.records),
-                peak.peak_plan_bytes, peak.ring_slots, peak.peak_buffer_bytes);
+                peak.peak_buffer_bytes);
   }
   if (!temp_path.empty()) std::remove(temp_path.c_str());
   if (!obs_dir.empty()) {

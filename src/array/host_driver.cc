@@ -16,11 +16,6 @@ HostDriver::HostDriver(Simulator* sim, ArrayController* array, int32_t max_activ
       occupancy_(sim->Now()) {}
 
 void HostDriver::Submit(int64_t offset, int32_t size, bool is_write) {
-  SubmitPlanned(offset, size, is_write, nullptr, 0);
-}
-
-void HostDriver::SubmitPlanned(int64_t offset, int32_t size, bool is_write,
-                               const Segment* segs, int32_t seg_count) {
   assert(size > 0);
   assert(offset >= 0 && offset + size <= array_->DataCapacityBytes());
   ClientRequest r;
@@ -29,8 +24,6 @@ void HostDriver::SubmitPlanned(int64_t offset, int32_t size, bool is_write,
   r.size = size;
   r.is_write = is_write;
   r.arrival = sim_->Now();
-  r.plan_segs = segs;
-  r.plan_seg_count = seg_count;
   ++accepted_;
   occupancy_.Add(sim_->Now(), +1.0);
   if (probe_) {
@@ -60,8 +53,8 @@ void HostDriver::TryDispatch() {
     queue_.erase(it);
     sweep_offset_ = r.offset;
     ++active_;
-    // Capture only the fields the completion needs: the whole ClientRequest
-    // (with its plan span) no longer fits RequestDone's inline buffer.
+    // Capture only the fields the completion needs, so the callback stays
+    // inside RequestDone's inline buffer.
     array_->Submit(r, [this, id = r.id, is_write = r.is_write,
                        arrival = r.arrival] { OnComplete(id, is_write, arrival); });
   }

@@ -51,12 +51,6 @@ class HostDriver {
   // The id field is assigned by the driver.
   void Submit(int64_t offset, int32_t size, bool is_write);
 
-  // Planned variant: same acceptance semantics, but the request carries its
-  // precompiled segments (`segs`/`seg_count`, owned by a RequestPlan that
-  // outlives the run) so the controller skips the per-request SplitInto.
-  void SubmitPlanned(int64_t offset, int32_t size, bool is_write,
-                     const Segment* segs, int32_t seg_count);
-
   // Number of requests accepted / completed so far.
   uint64_t Accepted() const { return accepted_; }
   uint64_t Completed() const { return completed_; }

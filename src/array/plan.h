@@ -1,21 +1,15 @@
-// Precompiled request plans: the replay-time half of the compiled replay
-// pipeline.
+// Precompiled request plans: every trace record's layout mapping -- its
+// Split() into stripe-unit segments, plus the (disk, physical offset) of its
+// first unit -- resolved through the ArrayLayout ahead of replay, into two
+// flat POD arrays: one PlanRecord per trace record and one shared Segment
+// pool the records' spans point into.
 //
-// Every trace record's layout mapping -- its Split() into stripe-unit
-// segments, plus the (disk, physical offset) of its first unit -- depends
-// only on the record and the array geometry, not on any simulated state. A
-// RequestPlan therefore resolves a run of records through the ArrayLayout
-// once, ahead of their arrivals, into two flat POD arrays: one PlanRecord
-// per trace record and one shared Segment pool the records' spans point
-// into. Replay then walks the plan instead of re-deriving the mapping per
-// request, and the controllers consume the precompiled segments via
-// ClientRequest::plan_segs/plan_seg_count (see request.h) instead of calling
-// SplitInto in the hot loop. The replayer (plan_stream.h) compiles a trace
-// one fixed window of records at a time into recycled plans.
-//
-// The plan encodes the *same* mapping SplitInto produces (a pure
-// precomputation; tests assert segment-for-segment equality), so a planned
-// replay follows the bit-identical event trajectory of an unplanned one.
+// The plan is off the replay path. Replay submits each record with
+// HostDriver::Submit and the controller splits it once, so a plan compiled
+// alongside would split every record a second time. It is kept only for
+// perfbench's array.plan_compile_ms probe, which times the layout mapping
+// of a whole trace; tests assert segment-for-segment equality with
+// SplitInto.
 
 #ifndef AFRAID_ARRAY_PLAN_H_
 #define AFRAID_ARRAY_PLAN_H_
@@ -47,8 +41,7 @@ struct PlanRecord {
 
 class RequestPlan {
  public:
-  // An empty plan, to be filled by Compile(). The replayer keeps a small
-  // ring of these and recompiles them in place, window after window.
+  // An empty plan, to be filled by Compile().
   RequestPlan() = default;
 
   // Pre-resolves every record of `trace` against `layout`. The layout must
@@ -59,14 +52,11 @@ class RequestPlan {
   }
 
   // Recompiles this plan over `records`, reusing the flat arrays' capacity.
-  // Any Span previously returned by segments() is invalidated -- callers
-  // (the slot ring) must not recompile a plan while replay still holds
-  // segments into it.
+  // Any Span previously returned by segments() is invalidated.
   void Compile(const TraceRecord* records, size_t count,
                const ArrayLayout& layout);
 
-  // Resident bytes of the flat arrays (capacity, not size): the replay
-  // pipeline's per-slot contribution to peak-memory accounting.
+  // Resident bytes of the flat arrays (capacity, not size).
   size_t MemoryBytes() const {
     return records_.capacity() * sizeof(PlanRecord) +
            segments_.capacity() * sizeof(Segment) +
@@ -77,9 +67,7 @@ class RequestPlan {
   bool empty() const { return records_.empty(); }
   const PlanRecord& record(size_t i) const { return records_[i]; }
 
-  // The precompiled Split() of record i. Stable for the plan's lifetime, so
-  // controllers can hold it across asynchronous continuations without
-  // copying into pooled scratch.
+  // The precompiled Split() of record i. Stable until the next Compile().
   Span<Segment> segments(size_t i) const {
     const PlanRecord& r = records_[i];
     return Span<Segment>{segments_.data() + r.seg_begin,

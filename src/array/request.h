@@ -5,7 +5,6 @@
 
 #include <cstdint>
 
-#include "array/layout.h"
 #include "sim/callback.h"
 #include "sim/time.h"
 
@@ -17,12 +16,6 @@ struct ClientRequest {
   int32_t size = 0;      // Bytes; > 0, sector-aligned.
   bool is_write = false;
   SimTime arrival = 0;   // When the request entered the host device driver.
-  // Precompiled Split() of [offset, offset+size), when the request comes
-  // from a RequestPlan (see array/plan.h). Owned by the plan and stable for
-  // the whole run, so controllers use it in place of SplitInto and hold
-  // spans into it across continuations. Null for unplanned requests.
-  const Segment* plan_segs = nullptr;
-  int32_t plan_seg_count = 0;
 };
 
 // Completion notification: fires when the array has finished the request.

@@ -119,9 +119,6 @@ void ArrayScheme::RecordLoss(LossCause cause, int64_t stripe, int64_t bytes) {
 }
 
 Span<Segment> ArrayScheme::SegmentsOf(const ClientRequest& r) {
-  if (r.plan_segs != nullptr) {
-    return Span<Segment>{r.plan_segs, r.plan_seg_count};
-  }
   layout_->SplitInto(r.offset, r.size, &split_scratch_);
   return Span<Segment>{split_scratch_.data(),
                        static_cast<int32_t>(split_scratch_.size())};

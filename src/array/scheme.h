@@ -148,7 +148,6 @@ class ArrayScheme : public ArrayController {
 
   int64_t DataCapacityBytes() const override { return layout_->data_capacity_bytes(); }
   // The logical-to-physical layout client offsets are resolved through.
-  // Request plans must be compiled against this exact layout.
   const ArrayLayout& layout() const { return *layout_; }
   int32_t num_disks() const { return static_cast<int32_t>(disks_.size()); }
   DiskModel& disk(int32_t d) { return *disks_[static_cast<size_t>(d)]; }
@@ -231,8 +230,8 @@ class ArrayScheme : public ArrayController {
     return disk == failed_disk_ ||
            (disk == recovering_disk_ && stripe >= recovery_frontier_);
   }
-  // A request's segments: its precompiled Split() (array/plan.h) when it
-  // has one, else a split into scratch that the next call overwrites.
+  // A request's Split() into scratch that the next call overwrites: callers
+  // consume it synchronously (continuations capture segments by value).
   Span<Segment> SegmentsOf(const ClientRequest& r);
   int32_t ParityColumn(int32_t which = 0) const {
     return layout_->data_blocks_per_stripe() + which;

@@ -305,20 +305,14 @@ void AfraidController::DegradedReadSegment(const Segment& seg, JoinBlock* parent
 
 void AfraidController::DoWrite(const ClientRequest& r, RequestDone done) {
   // The segments must stay alive (and in place) until the request's join
-  // fires; the per-stripe groups are spans into them. A planned request's
-  // segments live in the RequestPlan (stable for the whole run); otherwise a
-  // pooled vector holds them, owned by the join. Split emits nondecreasing
-  // stripe numbers, so the old std::map grouping is equivalent to a
-  // contiguous-run scan -- same groups, same ascending order.
-  std::vector<Segment>* pooled = nullptr;
-  const Segment* base = r.plan_segs;
-  auto count = static_cast<size_t>(r.plan_seg_count);
-  if (base == nullptr) {
-    pooled = seg_pool_.Acquire();
-    layout_->SplitInto(r.offset, r.size, pooled);
-    base = pooled->data();
-    count = pooled->size();
-  }
+  // fires; the per-stripe groups are spans into them. A pooled vector holds
+  // them, owned by the join. Split emits nondecreasing stripe numbers, so
+  // the old std::map grouping is equivalent to a contiguous-run scan -- same
+  // groups, same ascending order.
+  std::vector<Segment>* pooled = seg_pool_.Acquire();
+  layout_->SplitInto(r.offset, r.size, pooled);
+  const Segment* base = pooled->data();
+  const size_t count = pooled->size();
   int32_t n_groups = 0;
   for (size_t i = 0; i < count; ++i) {
     if (i == 0 || base[i].stripe != base[i - 1].stripe) {
@@ -327,9 +321,7 @@ void AfraidController::DoWrite(const ClientRequest& r, RequestDone done) {
   }
   JoinBlock* join =
       joins_.Make(n_groups, [this, done = std::move(done), pooled](bool) mutable {
-        if (pooled != nullptr) {
-          seg_pool_.Release(pooled);
-        }
+        seg_pool_.Release(pooled);
         done();
         NoteClientEnd();
       });

@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "array/host_driver.h"
-#include "array/plan_stream.h"
+#include "array/replayer.h"
 #include "array/scheme.h"
 #include "core/scheme_registry.h"
 #include "disk/disk_model.h"
@@ -110,11 +110,8 @@ SimReport Experiment::Run() {
   trace_status_ = TraceStatus::Ok();
   stream_stats_ = StreamStats{};
 
-  // Every source replays through the one windowed plan pipeline, compiled
-  // against the exact layout the controller derived from cfg_.
-  StreamingPlanReplayer replayer(&sim, &driver, controller->layout());
-  driver.SetCompletionListener(
-      [&replayer](uint64_t id, double, bool) { replayer.OnComplete(id); });
+  // Every source replays through the one arrival path.
+  TraceReplayer replayer(&sim, &driver);
 
   // Steps the simulator while `more()` holds, interleaving metric snapshots
   // *between* events: before each event it records every whole sampling
@@ -170,10 +167,7 @@ SimReport Experiment::Run() {
   if (metrics != nullptr) {
     metrics->Snapshot(sim.Now());
   }
-  driver.SetCompletionListener(nullptr);
   stream_stats_.records = replayer.submitted();
-  stream_stats_.peak_plan_bytes = replayer.ring().peak_bytes();
-  stream_stats_.ring_slots = replayer.ring().slots();
   assert(driver.Drained());
 
   SimReport rep;

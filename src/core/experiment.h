@@ -48,18 +48,14 @@ struct ObserveOptions {
   SimDuration metrics_interval = Milliseconds(100);
 };
 
-// Accounting from a replay: how much the windowed plan pipeline
-// (array/plan_stream.h) actually held. Every run fills records,
-// peak_plan_bytes and ring_slots; chunks and peak_buffer_bytes describe the
-// file reader and stay 0 for Trace() and Workload(). Plan peaks depend on
-// the plan window and the in-flight requests, reader peaks on the chunk
-// size, neither on trace length.
+// Accounting from a replay. Every run fills records; chunks and
+// peak_buffer_bytes describe the file reader and stay 0 for Trace() and
+// Workload(). The reader's peak depends on the chunk size, not on trace
+// length.
 struct StreamStats {
   int64_t chunks = 0;           // Non-empty file chunks read and replayed.
   uint64_t records = 0;         // Trace records replayed.
-  size_t peak_plan_bytes = 0;   // High-water mark of all plan-slot arrays.
   size_t peak_buffer_bytes = 0; // High-water mark of the reader's buffers.
-  int32_t ring_slots = 0;       // Plan slots the ring converged to.
 };
 
 class Experiment {

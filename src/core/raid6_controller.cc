@@ -210,18 +210,12 @@ void Raid6Controller::DoWrite(const ClientRequest& r, RequestDone done) {
   // Split emits segments with nondecreasing stripe numbers, so grouping by
   // stripe is a contiguous-run scan -- same groups, same ascending dispatch
   // order as the ordered-map grouping this replaces. The segments stay alive
-  // (spans point into them) until the request join fires: planned requests
-  // use the run-lifetime RequestPlan storage, unplanned ones a pooled vector
-  // owned by the join.
-  std::vector<Segment>* pooled = nullptr;
-  const Segment* base = r.plan_segs;
-  auto count = static_cast<size_t>(r.plan_seg_count);
-  if (base == nullptr) {
-    pooled = seg_pool_.Acquire();
-    layout_->SplitInto(r.offset, r.size, pooled);
-    base = pooled->data();
-    count = pooled->size();
-  }
+  // (spans point into them) until the request join fires: a pooled vector
+  // owned by the join holds them.
+  std::vector<Segment>* pooled = seg_pool_.Acquire();
+  layout_->SplitInto(r.offset, r.size, pooled);
+  const Segment* base = pooled->data();
+  const size_t count = pooled->size();
   int32_t n_groups = 0;
   for (size_t i = 0; i < count; ++i) {
     if (i == 0 || base[i].stripe != base[i - 1].stripe) {
@@ -230,9 +224,7 @@ void Raid6Controller::DoWrite(const ClientRequest& r, RequestDone done) {
   }
   JoinBlock* join =
       joins_.Make(n_groups, [this, done = std::move(done), pooled](bool) mutable {
-        if (pooled != nullptr) {
-          seg_pool_.Release(pooled);
-        }
+        seg_pool_.Release(pooled);
         done();
         NoteClientEnd();
       });

@@ -1,6 +1,5 @@
 #include "faultsim/exposure.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -30,63 +29,40 @@ ExposureModel::ExposureModel(const std::string& scheme, const ArrayConfig& confi
   assert(controller_ != nullptr && "ExposureModel: unknown scheme name");
   driver_ = std::make_unique<HostDriver>(sim_, controller_.get(), cfg_.MaxActive(),
                                          cfg_.host_sched, probe);
+  replayer_ = std::make_unique<TraceReplayer>(sim_, driver_.get());
   workload_.address_space_bytes = controller_->DataCapacityBytes();
   controller_->SetLossListener(
       [this](const LossEvent& ev) { drill_events_.push_back(ev); });
-  EnsureArrivalScheduled();
+  FeedChunk();
 }
 
 ExposureModel::~ExposureModel() = default;
 
-void ExposureModel::EnsureArrivalScheduled() {
-  if (feeding_paused_ || arrival_pending_) {
-    return;
+void ExposureModel::FeedChunk() {
+  // Each chunk gets a fresh derived seed so the process never repeats, and
+  // starts now: the replayer starved at the previous chunk's last arrival.
+  workload_.seed = static_cast<uint64_t>(rng_.engine()());
+  chunk_ = GenerateWorkload(workload_, kChunkRequests, kChunkDuration);
+  assert(!chunk_.records.empty());
+  for (TraceRecord& r : chunk_.records) {
+    r.time += sim_->Now();
   }
-  if (next_record_ >= chunk_.records.size()) {
-    // Current chunk exhausted: generate the next one, rebased to now. Each
-    // chunk gets a fresh derived seed so the process never repeats.
-    workload_.seed = static_cast<uint64_t>(rng_.engine()());
-    chunk_ = GenerateWorkload(workload_, kChunkRequests, kChunkDuration);
-    assert(!chunk_.records.empty());
-    next_record_ = 0;
-    chunk_base_ = sim_->Now();
-  }
-  const SimTime due = chunk_base_ + chunk_.records[next_record_].time;
-  arrival_pending_ = true;
-  pending_arrival_ = sim_->At(std::max(due, sim_->Now()), [this] {
-    arrival_pending_ = false;
-    const TraceRecord& r = chunk_.records[next_record_];
-    driver_->Submit(r.offset, r.size, r.is_write);
-    ++next_record_;
-    EnsureArrivalScheduled();
-  });
-}
-
-void ExposureModel::PauseFeeding() {
-  feeding_paused_ = true;
-  if (arrival_pending_) {
-    sim_->Cancel(pending_arrival_);
-    arrival_pending_ = false;
-  }
-}
-
-void ExposureModel::ResumeFeeding() {
-  assert(feeding_paused_);
-  feeding_paused_ = false;
-  // Rebase the chunk so the next arrival preserves its inter-arrival gap
-  // from the previous record rather than firing a burst of "overdue" work.
-  if (next_record_ < chunk_.records.size()) {
-    const SimTime prev =
-        next_record_ > 0 ? chunk_.records[next_record_ - 1].time : 0;
-    chunk_base_ = sim_->Now() - prev;
-  }
-  EnsureArrivalScheduled();
+  replayer_->Feed(chunk_.records.data(), chunk_.records.size());
 }
 
 void ExposureModel::Advance(SimDuration d) {
   assert(d >= 0);
-  assert(!feeding_paused_);
-  sim_->RunUntil(sim_->Now() + d);
+  // Feeding right after the step that starved the replayer puts the next
+  // chunk's first arrival into the event queue where the last arrival would
+  // have chained it.
+  const SimTime deadline = sim_->Now() + d;
+  while (sim_->NextEventTime() <= deadline) {
+    sim_->Step();
+    if (replayer_->starved()) {
+      FeedChunk();
+    }
+  }
+  sim_->RunUntil(deadline);  // No events remain before it: just advance the clock.
 }
 
 void ExposureModel::RunUntilDrained() {
@@ -109,7 +85,7 @@ DrillResult ExposureModel::FinishDrill(const DrillResult& partial, SimTime start
     r.bytes_lost += ev.bytes;
   }
   r.loss_events = r.events.size();
-  ResumeFeeding();
+  replayer_->Resume();
   return r;
 }
 
@@ -123,7 +99,7 @@ DrillResult ExposureModel::FailureDrill(int32_t disk) {
 
   // The disk dies at this very instant: whatever was queued or mid-flight
   // completes degraded, through the controller's own failure paths.
-  PauseFeeding();
+  replayer_->Pause();
   if (fault_probe_) {
     fault_probe_.Instant("drill: fail disk" + std::to_string(disk), sim_->Now());
   }
@@ -160,7 +136,7 @@ DrillResult ExposureModel::NvramDrill() {
   // the controller forbids new AFRAID-mode markings while the NVRAM is
   // failed. (The marking-loss semantics do not depend on the exposure state
   // the way a disk failure does.)
-  PauseFeeding();
+  replayer_->Pause();
   RunUntilDrained();
   sim_->RunToEnd();  // Trailing idle-triggered rebuild passes finish here.
   if (fault_probe_) {

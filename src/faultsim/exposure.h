@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "array/host_driver.h"
+#include "array/replayer.h"
 #include "array/scheme.h"
 #include "core/array_config.h"
 #include "core/experiment.h"
@@ -112,9 +113,7 @@ class ExposureModel {
   const HostDriver& driver() const { return *driver_; }
 
  private:
-  void EnsureArrivalScheduled();
-  void PauseFeeding();
-  void ResumeFeeding();
+  void FeedChunk();
   void RunUntilDrained();
   DrillResult FinishDrill(const DrillResult& partial, SimTime started);
 
@@ -126,15 +125,8 @@ class ExposureModel {
   Probe fault_probe_;  // "faults" track; null when not tracing.
   std::unique_ptr<ArrayScheme> controller_;
   std::unique_ptr<HostDriver> driver_;
-
-  // Chunked workload feeding: one pending arrival event at a time, next
-  // chunk generated lazily when the current one is exhausted.
-  Trace chunk_;
-  size_t next_record_ = 0;
-  SimTime chunk_base_ = 0;
-  bool feeding_paused_ = false;
-  bool arrival_pending_ = false;
-  EventId pending_arrival_ = 0;
+  std::unique_ptr<TraceReplayer> replayer_;
+  Trace chunk_;  // The span the replayer is submitting from.
 
   std::vector<LossEvent> drill_events_;
 };

@@ -21,7 +21,7 @@
 // The chunk table also pre-assigns every chunk a dense local index within
 // its shard, so routing yields the shard-local byte offset directly: no
 // per-request modular arithmetic over ring points, and the per-shard
-// address spaces stay compact (they feed StripeLayout-based RequestPlans).
+// address spaces stay compact (each is one shard array's data space).
 
 #ifndef AFRAID_FLEET_SHARDING_H_
 #define AFRAID_FLEET_SHARDING_H_

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "array/host_driver.h"
-#include "array/plan_stream.h"
+#include "array/replayer.h"
 #include "array/scheme.h"
 #include "core/experiment.h"
 #include "core/scheme_registry.h"
@@ -73,25 +73,22 @@ class ShardCell {
     ctx.probe = probe;
     ctrl_ = SchemeRegistry::Create(cfg_.scheme, ctx);
     assert(ctrl_ != nullptr && "fleet: unknown scheme name");
-    // Plans compile against the controller's exact layout (the same
-    // precomputation the single-array Experiment does).
+    // Routing sized the shard's address space with the registry's capacity.
     assert(SchemeRegistry::DataCapacityBytes(cfg_.scheme, acfg) ==
            ctrl_->DataCapacityBytes());
     driver_ = std::make_unique<HostDriver>(&sim_, ctrl_.get(), acfg.MaxActive(),
                                            acfg.host_sched, probe);
-    replayer_ = std::make_unique<StreamingPlanReplayer>(&sim_, driver_.get(),
-                                                        ctrl_->layout());
+    replayer_ = std::make_unique<TraceReplayer>(&sim_, driver_.get());
     // Piece latencies by submission order: driver ids are 1-based and
     // assigned in submission order, which is record order.
     driver_->SetCompletionListener(
         [this](uint64_t id, double ms, bool /*is_write*/) {
           result.lat[static_cast<size_t>(id - 1)] = ms;
-          replayer_->OnComplete(id);
         });
   }
 
-  // Hands `n` routed records to the replayer, which compiles them a window
-  // at a time; they must stay valid until the next Advance returns.
+  // Hands `n` routed records to the replayer; they must stay valid until the
+  // next Advance returns.
   // Latency slots are appended (and stay -1.0 for pieces a destroy drops)
   // so the completion join sees every routed piece.
   void Feed(const TraceRecord* recs, size_t n) {
@@ -236,7 +233,7 @@ class ShardCell {
   Simulator sim_;
   std::unique_ptr<ArrayScheme> ctrl_;
   std::unique_ptr<HostDriver> driver_;
-  std::unique_ptr<StreamingPlanReplayer> replayer_;
+  std::unique_ptr<TraceReplayer> replayer_;
   SimTime degraded_from_ = -1;
   int32_t spares_ = -1;  // Hot spares left; -1 = unlimited legacy stock.
   uint64_t fed_ = 0;

@@ -6,8 +6,8 @@
 // instance (disks, controller, host driver) built from the same ArrayConfig
 // the single-array experiments use. Run() routes a multi-tenant arrival
 // stream (fleet/tenants.h) through the map into per-shard record spans,
-// replays each through the windowed plan pipeline (array/plan_stream.h) on
-// the allocation-free HostDriver fast path, and drives the shards in
+// replays each through the trace replayer (array/replayer.h) on the
+// allocation-free HostDriver fast path, and drives the shards in
 // parallel with the deterministic sweep machinery (core/sweep.h): every
 // shard is an independent simulation cell, so the fleet result is
 // bit-identical for any AFRAID_BENCH_THREADS. RunStreamed() runs the same
@@ -209,9 +209,8 @@ class VolumeManager {
   };
 
   // Routes `trace` as a single chunk, runs every shard to completion
-  // (parallel, deterministic) and merges the fleet report. Plans stay
-  // O(window) per shard; the routed pieces and the completion join scale
-  // with the trace.
+  // (parallel, deterministic) and merges the fleet report. The routed
+  // pieces and the completion join scale with the trace.
   FleetReport Run(const FleetTrace& trace, const RunOptions& opts);
   FleetReport Run(const FleetTrace& trace) { return Run(trace, RunOptions()); }
 
@@ -219,9 +218,9 @@ class VolumeManager {
   // header carries the tenant count into the report) through the chunked
   // pipeline: each chunk is routed through the shard map and replayed --
   // all shards advancing under the deterministic sweep -- before the next
-  // chunk is read. Trace text and routed pieces stay O(chunk), plans
-  // O(window); only the per-request completion join (one latency and a flag
-  // byte per logical request, which Run keeps too) scales with the trace.
+  // chunk is read. Trace text and routed pieces stay O(chunk); only the
+  // per-request completion join (one latency and a flag byte per logical
+  // request, which Run keeps too) scales with the trace.
   // The FleetReport is field-exact vs loading the same file and calling
   // Run(), for any thread count. On a parse/file error (*status if
   // non-null) the report covers the replayed prefix.

@@ -16,9 +16,7 @@ TraceChunkReader::TraceChunkReader(const std::string& path,
     finished_ = true;
     return;
   }
-  if (opts.read_ahead) {
-    StartPrefetch();
-  }
+  StartPrefetch();
 }
 
 TraceChunkReader::~TraceChunkReader() {
@@ -72,10 +70,6 @@ void TraceChunkReader::StartPrefetch() {
 
 void TraceChunkReader::TakeBlock(std::string* dst, bool* at_eof,
                                  bool* read_err) {
-  if (!prefetch_.joinable()) {
-    FillBlock(dst, at_eof, read_err);
-    return;
-  }
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this] { return ready_; });
   dst->swap(ready_block_);

@@ -1,5 +1,5 @@
 // Streaming trace ingest: fixed-memory chunked reads over the text trace
-// format, with optional double-buffered read-ahead.
+// format, with double-buffered read-ahead.
 //
 // The monolithic path (LoadTraceFile) reads the whole file and scans it in
 // place -- simple, but memory scales with trace length, which caps replay at
@@ -27,15 +27,10 @@
 namespace afraid {
 
 struct StreamOptions {
-  // Bytes of trace text ingested (and compiled) per chunk. The floor is one
+  // Bytes of trace text ingested (and replayed) per chunk. The floor is one
   // line: a pathological line longer than a chunk grows the window until a
   // newline appears, then the window shrinks back.
   size_t chunk_bytes = 4u << 20;
-  // Prefetch the next block on a helper thread while the current chunk is
-  // parsed and replayed. The thread only freads bytes -- all parsing happens
-  // on the calling thread in file order -- so results are identical with it
-  // on or off; it just hides I/O latency.
-  bool read_ahead = true;
 };
 
 class TraceChunkReader {
@@ -102,7 +97,7 @@ class TraceChunkReader {
   size_t peak_buffer_bytes_ = 0;
 
   // Depth-1 prefetch mailbox (one block ready + one being parsed = double
-  // buffering). Unused when read_ahead is off or the file failed to open.
+  // buffering). The prefetch thread starts once the file is open.
   std::thread prefetch_;
   std::mutex mu_;
   std::condition_variable cv_;

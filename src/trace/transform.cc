@@ -1,6 +1,5 @@
 #include "trace/transform.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace afraid {
@@ -12,82 +11,6 @@ Trace ScaleTime(const Trace& in, double factor) {
   out.records.reserve(in.records.size());
   for (TraceRecord r : in.records) {
     r.time = static_cast<SimTime>(static_cast<double>(r.time) * factor);
-    out.records.push_back(r);
-  }
-  return out;
-}
-
-Trace ClipWindow(const Trace& in, SimTime start, SimTime end) {
-  assert(start <= end);
-  Trace out;
-  out.name = in.name + "[clip]";
-  for (TraceRecord r : in.records) {
-    if (r.time >= start && r.time < end) {
-      r.time -= start;
-      out.records.push_back(r);
-    }
-  }
-  return out;
-}
-
-Trace FitToCapacity(const Trace& in, int64_t capacity, int64_t align) {
-  assert(capacity > 0 && align > 0 && capacity % align == 0);
-  Trace out;
-  out.name = in.name + "[fit]";
-  out.records.reserve(in.records.size());
-  for (TraceRecord r : in.records) {
-    if (r.size > capacity) {
-      r.size = static_cast<int32_t>(capacity);
-    }
-    r.offset %= capacity;
-    r.offset -= r.offset % align;
-    if (r.offset + r.size > capacity) {
-      r.offset = capacity - r.size;
-      r.offset -= r.offset % align;
-    }
-    out.records.push_back(r);
-  }
-  return out;
-}
-
-Trace MergeTraces(const std::vector<Trace>& traces) {
-  Trace out;
-  out.name = "merged";
-  size_t total = 0;
-  for (const Trace& t : traces) {
-    total += t.records.size();
-  }
-  out.records.reserve(total);
-  // K-way merge by repeated min scan (K is small in practice).
-  std::vector<size_t> next(traces.size(), 0);
-  for (size_t emitted = 0; emitted < total; ++emitted) {
-    int best = -1;
-    for (size_t k = 0; k < traces.size(); ++k) {
-      if (next[k] >= traces[k].records.size()) {
-        continue;
-      }
-      if (best < 0 || traces[k].records[next[k]].time <
-                          traces[static_cast<size_t>(best)]
-                              .records[next[static_cast<size_t>(best)]]
-                              .time) {
-        best = static_cast<int>(k);
-      }
-    }
-    const auto kbest = static_cast<size_t>(best);
-    out.records.push_back(traces[kbest].records[next[kbest]]);
-    ++next[kbest];
-  }
-  return out;
-}
-
-Trace Concatenate(const Trace& a, const Trace& b, SimDuration gap) {
-  assert(gap >= 0);
-  Trace out;
-  out.name = a.name + "+" + b.name;
-  out.records = a.records;
-  const SimTime shift = a.Duration() + gap;
-  for (TraceRecord r : b.records) {
-    r.time += shift;
     out.records.push_back(r);
   }
   return out;

@@ -1,11 +1,8 @@
-// Trace transformations: the utilities a trace-driven study needs to adapt
-// foreign traces to a target array (the paper, e.g., replayed one-day
-// subsets of multi-day traces and remapped multi-disk traces onto arrays).
+// Trace transformations: reshaping a trace's arrival process while keeping
+// its request mix, e.g. to sweep the offered load of one workload.
 
 #ifndef AFRAID_TRACE_TRANSFORM_H_
 #define AFRAID_TRACE_TRANSFORM_H_
-
-#include <vector>
 
 #include "trace/trace.h"
 
@@ -14,21 +11,6 @@ namespace afraid {
 // Scales all arrival times by `factor` (> 0): factor 0.5 doubles the offered
 // load; 2.0 halves it. Sizes and offsets are untouched.
 Trace ScaleTime(const Trace& in, double factor);
-
-// Keeps only records with time in [start, end), shifting times so the
-// window starts at 0.
-Trace ClipWindow(const Trace& in, SimTime start, SimTime end);
-
-// Remaps offsets into [0, capacity) by modulo on the request's start, then
-// clamps so no request crosses the end. Alignment is preserved for
-// `align`-aligned capacities.
-Trace FitToCapacity(const Trace& in, int64_t capacity, int64_t align = 512);
-
-// Merges traces by arrival time (stable for ties in argument order).
-Trace MergeTraces(const std::vector<Trace>& traces);
-
-// Appends `b` after `a`, shifting b's times by a's duration plus `gap`.
-Trace Concatenate(const Trace& a, const Trace& b, SimDuration gap);
 
 }  // namespace afraid
 

@@ -109,6 +109,27 @@ TEST(Experiment, MttdlTargetInterpolates) {
   EXPECT_GT(mid.raid5_mode_writes + mid.afraid_mode_writes, 0u);
 }
 
+TEST(Experiment, DeterministicOnIdleHeavyWorkload) {
+  // Two runs of the same config must agree exactly (the seed-stability
+  // property the rest of the suite assumes), here on hplajw, whose long
+  // idle periods make idle-triggered rebuilds part of the trajectory.
+  ArrayConfig cfg;
+  cfg.disk_spec = DiskSpec::TinyTestDisk();
+  cfg.num_disks = 4;
+  cfg.stripe_unit_bytes = 8192;
+
+  WorkloadParams params;
+  ASSERT_TRUE(FindWorkload("hplajw", &params));
+  const SimReport a =
+      Experiment(cfg).Policy(PolicySpec::AfraidBaseline()).Workload(params, 300, Hours(1)).Run();
+  const SimReport b =
+      Experiment(cfg).Policy(PolicySpec::AfraidBaseline()).Workload(params, 300, Hours(1)).Run();
+  EXPECT_EQ(a.mean_io_ms, b.mean_io_ms);
+  EXPECT_EQ(a.requests, b.requests);
+  EXPECT_EQ(a.disk_ops_total, b.disk_ops_total);
+  EXPECT_EQ(a.duration_s, b.duration_s);
+}
+
 TEST(Experiment, AvailabilityParamsFollowConfig) {
   ArrayConfig cfg = SmallConfig();
   cfg.num_disks = 8;

@@ -1,8 +1,8 @@
 // Streamed replay (Experiment::TraceFile) vs replay of the same trace held
 // in memory (Experiment::Trace): the trajectory -- every latency percentile,
 // counter, and availability output in the report -- must be identical at
-// every chunk size, and the pipeline's memory must depend on the chunk and
-// the plan window, not the trace, for both sources.
+// every chunk size, and the reader's memory must depend on the chunk, not
+// the trace.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <filesystem>
 #include <string>
 
-#include "array/plan_stream.h"
 #include "core/experiment.h"
 #include "core/policy.h"
 #include "obs/report_io.h"
@@ -32,15 +31,8 @@ Trace PresetTrace(const std::string& name, uint64_t max_requests) {
   return GenerateWorkload(p, max_requests, Hours(24));
 }
 
-SimReport RunInMemory(const Trace& trace, const PolicySpec& spec,
-                      StreamStats* stats = nullptr) {
-  Experiment exp{ArrayConfig()};
-  exp.Policy(spec).Trace(trace);
-  const SimReport rep = exp.Run();
-  if (stats != nullptr) {
-    *stats = exp.stream_stats();
-  }
-  return rep;
+SimReport RunInMemory(const Trace& trace, const PolicySpec& spec) {
+  return Experiment(ArrayConfig()).Policy(spec).Trace(trace).Run();
 }
 
 SimReport RunStreamed(const std::string& path, const PolicySpec& spec,
@@ -71,15 +63,14 @@ TEST(StreamReplay, MatchesInMemoryAcrossChunkSizes) {
   const SimReport in_memory = RunInMemory(trace, PolicySpec::AfraidBaseline());
   ASSERT_GT(in_memory.requests, 0u);
 
-  // Tiny chunks force many feed/replay interleavings and plan-slot reuse;
-  // the huge chunk degenerates to one span, like the in-memory source.
+  // Tiny chunks force many feed/replay interleavings; the huge chunk
+  // degenerates to one span, like the in-memory source.
   for (const size_t chunk : {200u, 1024u, 16384u, 4u << 20}) {
     StreamStats stats;
     const SimReport streamed =
         RunStreamed(path, PolicySpec::AfraidBaseline(), chunk, &stats);
     ExpectSameReport(streamed, in_memory);
     EXPECT_EQ(stats.records, trace.records.size()) << "chunk=" << chunk;
-    EXPECT_GT(stats.peak_plan_bytes, 0u);
   }
   std::remove(path.c_str());
 }
@@ -100,9 +91,9 @@ TEST(StreamReplay, MatchesInMemoryAcrossSchemesAndWorkloads) {
   }
 }
 
-// The fixed-memory guarantee: growing the trace 8x leaves the plan ring and
-// read buffers at the same high-water mark (same chunk size).
-TEST(StreamReplay, PlanMemoryIndependentOfTraceLength) {
+// The fixed-memory guarantee: growing the trace 8x leaves the read buffers
+// at the same high-water mark (same chunk size).
+TEST(StreamReplay, ReaderMemoryIndependentOfTraceLength) {
   const std::string short_path = TempPath("afraid_stream_replay_short.txt");
   const std::string long_path = TempPath("afraid_stream_replay_long.txt");
   ASSERT_TRUE(RecordTrace(PresetTrace("cello-usr", 1000), short_path).ok);
@@ -118,31 +109,9 @@ TEST(StreamReplay, PlanMemoryIndependentOfTraceLength) {
   EXPECT_GT(long_stats.chunks, 4 * short_stats.chunks);
   // More chunks, same bounded footprint (2x slack for per-chunk variation in
   // record counts and allocator rounding).
-  EXPECT_LE(long_stats.peak_plan_bytes, 2 * short_stats.peak_plan_bytes);
   EXPECT_LE(long_stats.peak_buffer_bytes, 2 * short_stats.peak_buffer_bytes);
   std::remove(short_path.c_str());
   std::remove(long_path.c_str());
-}
-
-// An in-memory trace replays through the same plan window: 8x the records
-// leaves the plan high-water mark where it was, instead of growing with the
-// trace.
-TEST(StreamReplay, InMemoryPlanMemoryIndependentOfTraceLength) {
-  const Trace short_trace = PresetTrace("netware", 2 * kPlanWindowRecords);
-  const Trace long_trace = PresetTrace("netware", 16 * kPlanWindowRecords);
-  ASSERT_EQ(long_trace.Size(), 16 * kPlanWindowRecords);
-
-  StreamStats short_stats;
-  StreamStats long_stats;
-  RunInMemory(short_trace, PolicySpec::AfraidBaseline(), &short_stats);
-  RunInMemory(long_trace, PolicySpec::AfraidBaseline(), &long_stats);
-
-  EXPECT_EQ(short_stats.records, short_trace.Size());
-  EXPECT_EQ(long_stats.records, long_trace.Size());
-  EXPECT_GT(short_stats.peak_plan_bytes, 0u);
-  EXPECT_GT(long_stats.peak_plan_bytes, 0u);
-  // 2x slack for the in-flight window and allocator rounding.
-  EXPECT_LE(long_stats.peak_plan_bytes, 2 * short_stats.peak_plan_bytes);
 }
 
 // A parse error mid-file surfaces through trace_status() with the whole-file

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "trace/workload_gen.h"
-
 namespace afraid {
 namespace {
 
@@ -25,74 +23,6 @@ TEST(Transform, ScaleTimeHalvesGaps) {
   EXPECT_EQ(out.records[1].time, Milliseconds(50));
   EXPECT_EQ(out.records[3].time, Milliseconds(450));
   EXPECT_EQ(out.records[1].offset, 8192);  // Space untouched.
-}
-
-TEST(Transform, ClipWindowShiftsToZero) {
-  const Trace out = ClipWindow(Sample(), Milliseconds(100), Milliseconds(900));
-  ASSERT_EQ(out.records.size(), 2u);
-  EXPECT_EQ(out.records[0].time, 0);
-  EXPECT_EQ(out.records[1].time, Milliseconds(150));
-}
-
-TEST(Transform, ClipWindowEmptyWhenOutside) {
-  const Trace out = ClipWindow(Sample(), Seconds(10), Seconds(20));
-  EXPECT_TRUE(out.Empty());
-}
-
-TEST(Transform, FitToCapacityBoundsEveryRecord) {
-  const Trace out = FitToCapacity(Sample(), 64 * 1024);
-  for (const TraceRecord& r : out.records) {
-    EXPECT_GE(r.offset, 0);
-    EXPECT_LE(r.offset + r.size, 64 * 1024);
-    EXPECT_EQ(r.offset % 512, 0);
-  }
-}
-
-TEST(Transform, FitToCapacityPreservesInRangeRecords) {
-  const Trace out = FitToCapacity(Sample(), 1LL << 30);
-  EXPECT_EQ(out.records[1].offset, 8192);
-}
-
-TEST(Transform, MergeInterleavesByTime) {
-  Trace a;
-  a.records = {{10, 0, 512, false}, {30, 0, 512, false}};
-  Trace b;
-  b.records = {{20, 512, 512, true}, {40, 512, 512, true}};
-  const Trace out = MergeTraces({a, b});
-  ASSERT_EQ(out.records.size(), 4u);
-  EXPECT_EQ(out.records[0].time, 10);
-  EXPECT_EQ(out.records[1].time, 20);
-  EXPECT_EQ(out.records[2].time, 30);
-  EXPECT_EQ(out.records[3].time, 40);
-}
-
-TEST(Transform, ConcatenateShiftsSecondTrace) {
-  const Trace a = Sample();
-  const Trace out = Concatenate(a, a, Seconds(1));
-  ASSERT_EQ(out.records.size(), 8u);
-  EXPECT_EQ(out.records[4].time, a.Duration() + Seconds(1));
-  // Still time-sorted.
-  SimTime prev = 0;
-  for (const TraceRecord& r : out.records) {
-    EXPECT_GE(r.time, prev);
-    prev = r.time;
-  }
-}
-
-TEST(Transform, PipelineComposition) {
-  // A realistic prep pipeline: clip a window of a generated trace, double
-  // its intensity, and fit it to a small array.
-  WorkloadParams p;
-  p.name = "pipe";
-  p.seed = 3;
-  p.address_space_bytes = 8LL << 30;
-  const Trace raw = GenerateWorkload(p, 2000, Hours(10));
-  const Trace ready = FitToCapacity(
-      ScaleTime(ClipWindow(raw, Seconds(10), Seconds(2000)), 0.5), 256 << 20);
-  for (const TraceRecord& r : ready.records) {
-    EXPECT_LE(r.offset + r.size, 256 << 20);
-  }
-  EXPECT_GT(ready.records.size(), 10u);
 }
 
 }  // namespace
