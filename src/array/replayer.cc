@@ -55,7 +55,7 @@ void TraceReplayer::Resume() {
   assert(paused_);
   paused_ = false;
   if (next_ == end_) {
-    return;  // Starved: the next Feed schedules the next arrival.
+    return;  // Starved (the next Feed schedules) or destroyed.
   }
   const SimTime prev = next_ != begin_ ? next_[-1].time : fed_at_;
   shift_ = sim_->Now() - prev;

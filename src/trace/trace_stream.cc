@@ -81,8 +81,14 @@ void TraceChunkReader::TakeBlock(std::string* dst, bool* at_eof,
 }
 
 void TraceChunkReader::NotePeak() {
+  size_t mailbox = 0;
+  {
+    // The prefetch thread swaps blocks into the mailbox under mu_.
+    std::lock_guard<std::mutex> lock(mu_);
+    mailbox = ready_block_.capacity();
+  }
   const size_t now = window_.capacity() + carry_.capacity() +
-                     block_.capacity() + ready_block_.capacity() +
+                     block_.capacity() + mailbox +
                      chunk_.records.capacity() * sizeof(TraceRecord);
   peak_buffer_bytes_ = std::max(peak_buffer_bytes_, now);
 }
