@@ -1,16 +1,19 @@
-// Planned replay must be invisible: feeding a controller precompiled
-// RequestPlan segments (SubmitPlanned) has to walk the bit-identical event
-// trajectory of plain record-by-record submission (Submit), because the plan
-// is a pure precomputation of the same layout math. These tests replay the
-// same trace both ways and require equal latency samples, counters, and end
-// times -- the property all golden example/bench outputs rest on.
+// Replay must be invisible: a trace replayed through TraceReplayer -- the
+// one arrival path of every experiment, stream, fleet shard and campaign --
+// has to walk the bit-identical event trajectory of the reference replay,
+// which schedules every record up front and submits it with
+// HostDriver::Submit, whatever span sizes the replayer is fed in. These
+// tests replay the same trace both ways and require equal latency samples,
+// counters, and end times -- the property all golden example/bench outputs
+// rest on.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "array/host_driver.h"
-#include "array/plan.h"
+#include "array/replayer.h"
 #include "core/afraid_controller.h"
 #include "core/experiment.h"
 #include "disk/geometry.h"
@@ -28,31 +31,33 @@ struct ReplayResult {
   SimTime end_time = 0;
 };
 
-ReplayResult RunOnce(const ArrayConfig& cfg, const Trace& trace, bool planned) {
+// Replays `trace` on a fresh AFRAID array. span == 0 schedules every record
+// up front and submits it directly; otherwise the records go through a
+// TraceReplayer fed `span` records at a time, each span handed over before
+// the next simulator step, as Experiment's streaming loop does.
+ReplayResult RunOnce(const ArrayConfig& cfg, const Trace& trace, size_t span) {
   Simulator sim;
   AfraidController ctl(&sim, cfg, MakePolicy(PolicySpec::AfraidBaseline()),
                        AvailabilityParamsFor(cfg));
   HostDriver driver(&sim, &ctl, cfg.MaxActive());
+  TraceReplayer replayer(&sim, &driver);
 
-  const DiskGeometry geom(cfg.disk_spec.zones, cfg.disk_spec.heads,
-                          cfg.disk_spec.sector_bytes);
-  const StripeLayout layout(cfg.num_disks, cfg.stripe_unit_bytes,
-                            geom.CapacityBytes(), cfg.parity_blocks);
-  const RequestPlan plan(trace, layout);
-  for (size_t i = 0; i < plan.size(); ++i) {
-    const PlanRecord& r = plan.record(i);
-    sim.At(r.time, [&driver, &plan, r, i, planned] {
-      if (planned) {
-        const Span<Segment> segs = plan.segments(i);
-        driver.SubmitPlanned(r.offset, r.size, r.is_write, segs.data,
-                             segs.count);
-      } else {
-        driver.Submit(r.offset, r.size, r.is_write);
+  const std::vector<TraceRecord>& recs = trace.records;
+  if (span == 0) {
+    for (const TraceRecord& r : recs) {
+      sim.At(r.time, [&driver, r] { driver.Submit(r.offset, r.size, r.is_write); });
+    }
+  } else {
+    for (size_t at = 0; at < recs.size(); at += span) {
+      replayer.Feed(recs.data() + at, std::min(span, recs.size() - at));
+      while (!sim.Idle() && !replayer.starved()) {
+        sim.Step();
       }
-    });
+    }
   }
   sim.RunToEnd();
   EXPECT_TRUE(driver.Drained());
+  EXPECT_EQ(replayer.submitted(), span == 0 ? 0u : recs.size());
 
   ReplayResult res;
   res.all_ms = driver.AllLatencies().Samples();
@@ -63,7 +68,7 @@ ReplayResult RunOnce(const ArrayConfig& cfg, const Trace& trace, bool planned) {
   return res;
 }
 
-TEST(PlanReplay, PlannedAndUnplannedRunsAreBitIdentical) {
+TEST(PlanReplay, ReplayerMatchesUpfrontSubmitAtEverySpanSize) {
   ArrayConfig cfg;
   cfg.disk_spec = DiskSpec::TinyTestDisk();
   cfg.num_disks = 5;
@@ -78,36 +83,18 @@ TEST(PlanReplay, PlannedAndUnplannedRunsAreBitIdentical) {
   params.address_space_bytes = layout.data_capacity_bytes();
   const Trace trace = GenerateWorkload(params, 800, Hours(2));
 
-  const ReplayResult planned = RunOnce(cfg, trace, /*planned=*/true);
-  const ReplayResult unplanned = RunOnce(cfg, trace, /*planned=*/false);
-
-  // Exact equality, not tolerance: the same doubles in the same order.
-  EXPECT_EQ(planned.all_ms, unplanned.all_ms);
-  EXPECT_EQ(planned.read_ms, unplanned.read_ms);
-  EXPECT_EQ(planned.write_ms, unplanned.write_ms);
-  EXPECT_EQ(planned.disk_ops, unplanned.disk_ops);
-  EXPECT_EQ(planned.end_time, unplanned.end_time);
-}
-
-TEST(PlanReplay, ExperimentStillDeterministic) {
-  // The Experiment front end replays through a RequestPlan internally; two
-  // runs of the same config must agree exactly (the seed-stability property
-  // the rest of the suite assumes).
-  ArrayConfig cfg;
-  cfg.disk_spec = DiskSpec::TinyTestDisk();
-  cfg.num_disks = 4;
-  cfg.stripe_unit_bytes = 8192;
-
-  WorkloadParams params;
-  ASSERT_TRUE(FindWorkload("hplajw", &params));
-  const SimReport a =
-      Experiment(cfg).Policy(PolicySpec::AfraidBaseline()).Workload(params, 300, Hours(1)).Run();
-  const SimReport b =
-      Experiment(cfg).Policy(PolicySpec::AfraidBaseline()).Workload(params, 300, Hours(1)).Run();
-  EXPECT_EQ(a.mean_io_ms, b.mean_io_ms);
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.disk_ops_total, b.disk_ops_total);
-  EXPECT_EQ(a.duration_s, b.duration_s);
+  const ReplayResult reference = RunOnce(cfg, trace, /*span=*/0);
+  ASSERT_EQ(reference.all_ms.size(), trace.Size());
+  for (const size_t span : {trace.Size(), size_t{1}, size_t{7}, size_t{128}}) {
+    SCOPED_TRACE(span);
+    const ReplayResult replayed = RunOnce(cfg, trace, span);
+    // Exact equality, not tolerance: the same doubles in the same order.
+    EXPECT_EQ(replayed.all_ms, reference.all_ms);
+    EXPECT_EQ(replayed.read_ms, reference.read_ms);
+    EXPECT_EQ(replayed.write_ms, reference.write_ms);
+    EXPECT_EQ(replayed.disk_ops, reference.disk_ops);
+    EXPECT_EQ(replayed.end_time, reference.end_time);
+  }
 }
 
 }  // namespace
