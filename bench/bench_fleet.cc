@@ -13,8 +13,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "bench/bench_common.h"
+#include "core/sweep.h"
 #include "fleet/tenants.h"
 #include "fleet/volume_manager.h"
 
@@ -45,28 +47,39 @@ int Run() {
       {"mirror", "mirror", PolicySpec::AfraidBaseline()},
   };
 
-  PrintHeader("Fleet grid: scheme x sharding x width, one failed+repaired "
-              "disk per run");
-  std::printf("%-9s %-6s %6s | %8s %8s %8s %8s | %7s %6s %6s | %8s %6s\n",
-              "scheme", "shard", "width", "mean ms", "p50", "p99", "p999",
-              "max/mean", "cv", "split", "degr s", "loss");
-  PrintRule(110);
-
+  // Every cell is an independent fleet, so the grid fans out over
+  // AFRAID_BENCH_THREADS workers, each fleet running its shards on one
+  // thread, and rows print in cell order: bit-identical for any thread
+  // count. Most of a cell's time is its degraded shard's reconstruction
+  // sweep, which the fleet's own shard fan-out cannot split.
+  struct Cell {
+    const SchemeRow* row;
+    ShardingKind kind;
+    int32_t width;
+  };
+  std::vector<Cell> cells;
   for (const SchemeRow& row : schemes) {
     for (const ShardingKind kind :
          {ShardingKind::kRange, ShardingKind::kConsistentHash}) {
       for (const int32_t width : {4, 8, 16}) {
+        cells.push_back({&row, kind, width});
+      }
+    }
+  }
+  const std::vector<FleetReport> reports = ParallelSweep(
+      static_cast<int64_t>(cells.size()), [&](int64_t i) {
+        const Cell& c = cells[static_cast<size_t>(i)];
         FleetConfig cfg;
-        cfg.scheme = row.scheme;
-        cfg.policy = row.policy;
-        cfg.sharding = kind;
-        cfg.num_shards = width;
+        cfg.scheme = c.row->scheme;
+        cfg.policy = c.row->policy;
+        cfg.sharding = c.kind;
+        cfg.num_shards = c.width;
         cfg.chunk_bytes = 4 << 20;
         cfg.seed = 1996;
         VolumeManager vm(cfg);
         // The standard incident: one disk of one mid-fleet shard dies a
         // third of the way in and is repaired online a minute later.
-        const int32_t victim = width / 2;
+        const int32_t victim = c.width / 2;
         vm.DiskFail(Seconds(20), victim, /*disk=*/1);
         vm.DiskRepaired(Seconds(80), victim, /*disk=*/1);
 
@@ -78,17 +91,26 @@ int Run() {
         wp.max_duration = Minutes(10);
         const FleetTrace trace = GenerateFleetWorkload(wp, vm.VolumeBytes());
 
-        const FleetReport rep = vm.Run(trace);
-        std::printf(
-            "%-9s %-6s %6d | %8.2f %8.2f %8.2f %8.2f | %7.3f %6.3f %6llu "
-            "| %8.1f %6llu\n",
-            row.label, rep.sharding.c_str(), width, rep.mean_ms, rep.p50_ms,
-            rep.p99_ms, rep.p999_ms, rep.imbalance_max_mean, rep.imbalance_cv,
-            static_cast<unsigned long long>(rep.split_requests),
-            rep.degraded_shard_s,
-            static_cast<unsigned long long>(rep.loss_events));
-      }
-    }
+        VolumeManager::RunOptions opts;
+        opts.threads = 1;
+        return vm.Run(trace, opts);
+      });
+
+  PrintHeader("Fleet grid: scheme x sharding x width, one failed+repaired "
+              "disk per run");
+  std::printf("%-9s %-6s %6s | %8s %8s %8s %8s | %7s %6s %6s | %8s %6s\n",
+              "scheme", "shard", "width", "mean ms", "p50", "p99", "p999",
+              "max/mean", "cv", "split", "degr s", "loss");
+  PrintRule(110);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const FleetReport& rep = reports[i];
+    std::printf(
+        "%-9s %-6s %6d | %8.2f %8.2f %8.2f %8.2f | %7.3f %6.3f %6llu "
+        "| %8.1f %6llu\n",
+        cells[i].row->label, rep.sharding.c_str(), cells[i].width, rep.mean_ms,
+        rep.p50_ms, rep.p99_ms, rep.p999_ms, rep.imbalance_max_mean,
+        rep.imbalance_cv, static_cast<unsigned long long>(rep.split_requests),
+        rep.degraded_shard_s, static_cast<unsigned long long>(rep.loss_events));
   }
   PrintRule(110);
   std::printf("tenants=%d requests=%llu; every cell is bit-identical for any "

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "core/sweep.h"
 
 namespace afraid {
 namespace {
@@ -23,6 +24,20 @@ int Run() {
   const uint64_t max_requests = BenchRequests();
   const SimDuration max_duration = BenchDuration();
   const std::vector<double> targets_hours = {0.5e6, 1.0e6, 2.0e6, 3.0e6};
+
+  // Every (workload, target) cell is an independent Experiment, so the grid
+  // fans out over AFRAID_BENCH_THREADS workers; rows are printed (and sunk)
+  // in cell order, bit-identical for any thread count.
+  const std::vector<WorkloadParams> workloads = PaperWorkloads();
+  const size_t per_row = targets_hours.size();
+  const std::vector<SimReport> reports = ParallelSweep(
+      static_cast<int64_t>(workloads.size() * per_row), [&](int64_t cell) {
+        const auto i = static_cast<size_t>(cell);
+        return Experiment(cfg)
+            .Policy(PolicySpec::MttdlTarget(targets_hours[i % per_row]))
+            .Workload(workloads[i / per_row], max_requests, max_duration)
+            .Run();
+      });
 
   PrintHeader("Table 4: MTTDL_x policy -- achieved disk MTTDL vs target");
   std::printf("%-12s", "workload");
@@ -35,11 +50,12 @@ int Run() {
   bool ever_above_5pct_short = false;
   double worst_mdlr_unprot = 0.0;
   BenchReportSink sink("table4_mttdl_policy");
-  for (const WorkloadParams& wl : PaperWorkloads()) {
+  for (size_t w = 0; w < workloads.size(); ++w) {
+    const WorkloadParams& wl = workloads[w];
     std::printf("%-12s", wl.name.c_str());
-    for (double t : targets_hours) {
-      const SimReport rep = Experiment(cfg).Policy(PolicySpec::MttdlTarget(t))
-          .Workload(wl, max_requests, max_duration).Run();
+    for (size_t k = 0; k < per_row; ++k) {
+      const double t = targets_hours[k];
+      const SimReport& rep = reports[w * per_row + k];
       sink.Add(wl.name + "/" + rep.policy, rep);
       const double achieved = rep.avail.mttdl_disk_hours;
       const double shortfall_pct =

@@ -27,6 +27,7 @@
 #include "sim/arena.h"
 #include "sim/simulator.h"
 #include "stats/sample_set.h"
+#include "stats/streaming.h"
 #include "stats/time_weighted.h"
 
 namespace afraid {
@@ -56,21 +57,19 @@ class HostDriver {
   uint64_t Completed() const { return completed_; }
   bool Drained() const { return accepted_ == completed_; }
 
-  // Latency distributions in milliseconds (arrival -> completion).
+  // Latencies in milliseconds (arrival -> completion). Each request's
+  // latency is retained once, in AllLatencies(), for exact percentiles; the
+  // read and write splits keep a running summary (count, mean, min, max).
   SampleSet& AllLatencies() { return all_ms_; }
-  SampleSet& ReadLatencies() { return read_ms_; }
-  SampleSet& WriteLatencies() { return write_ms_; }
+  const StreamingStats& ReadLatencies() const { return read_ms_; }
+  const StreamingStats& WriteLatencies() const { return write_ms_; }
 
   // Time-weighted number of requests in the driver (queued + active).
   const TimeWeightedValue& Occupancy() const { return occupancy_; }
 
-  // Pre-sizes the latency sample vectors for `n` expected requests, so a
+  // Pre-sizes the retained latency samples for `n` expected requests, so a
   // measured steady state never reallocates them (allocation-free path).
-  void ReserveLatencySamples(size_t n) {
-    all_ms_.Reserve(n);
-    read_ms_.Reserve(n);
-    write_ms_.Reserve(n);
-  }
+  void ReserveLatencySamples(size_t n) { all_ms_.Reserve(n); }
 
   // Per-request completion hook: fires after the latency samples are
   // recorded, with the driver-assigned id (1-based, in submission order)
@@ -106,8 +105,8 @@ class HostDriver {
   uint64_t accepted_ = 0;
   uint64_t completed_ = 0;
   SampleSet all_ms_;
-  SampleSet read_ms_;
-  SampleSet write_ms_;
+  StreamingStats read_ms_;
+  StreamingStats write_ms_;
   TimeWeightedValue occupancy_;
   CompletionListener completion_listener_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -19,6 +20,7 @@
 #include "obs/tracer.h"
 #include "sim/simulator.h"
 #include "stats/sample_set.h"
+#include "stats/streaming.h"
 
 namespace afraid {
 
@@ -93,8 +95,6 @@ class ShardCell {
   // so the completion join sees every routed piece.
   void Feed(const TraceRecord* recs, size_t n) {
     result.lat.resize(result.lat.size() + n, -1.0);
-    fed_ += n;
-    driver_->ReserveLatencySamples(fed_);
     replayer_->Feed(recs, n);
   }
 
@@ -236,7 +236,6 @@ class ShardCell {
   std::unique_ptr<TraceReplayer> replayer_;
   SimTime degraded_from_ = -1;
   int32_t spares_ = -1;  // Hot spares left; -1 = unlimited legacy stock.
-  uint64_t fed_ = 0;
   bool ops_scheduled_ = false;
 };
 
@@ -249,7 +248,7 @@ constexpr uint8_t kRecSplit = 2;  // The record split across shards.
 FleetReport MergeFleet(const FleetConfig& cfg, const ShardMap& map,
                        const std::string& workload, int32_t num_tenants,
                        std::vector<ShardResult> results,
-                       const std::vector<std::vector<uint32_t>>& piece_owner,
+                       std::vector<std::vector<uint32_t>> piece_owner,
                        const std::vector<uint8_t>& rec_flags,
                        const VolumeManager::RunOptions& opts,
                        bool trace_shards) {
@@ -258,20 +257,20 @@ FleetReport MergeFleet(const FleetConfig& cfg, const ShardMap& map,
 
   // Join pieces back into client-visible requests: a split request
   // completes when its last piece does, so its latency is the max over
-  // pieces (all pieces share the arrival instant).
+  // pieces (all pieces share the arrival instant). A dropped piece makes
+  // the whole request dropped: the +inf sentinel survives every later max.
+  // Each shard's piece state is freed as soon as it is joined.
+  constexpr double kDropped = std::numeric_limits<double>::infinity();
   std::vector<double> logical_ms(num_records, -1.0);
-  std::vector<uint8_t> logical_dropped(num_records, 0);
   for (int32_t s = 0; s < num_shards; ++s) {
     const auto si = static_cast<size_t>(s);
-    for (size_t i = 0; i < piece_owner[si].size(); ++i) {
-      const uint32_t r = piece_owner[si][i];
-      const double ms = results[si].lat[i];
-      if (ms < 0) {
-        logical_dropped[r] = 1;
-      } else {
-        logical_ms[r] = std::max(logical_ms[r], ms);
-      }
+    const std::vector<double>& lat = results[si].lat;
+    for (size_t i = 0; i < lat.size(); ++i) {
+      double& joined = logical_ms[piece_owner[si][i]];
+      joined = lat[i] < 0 ? kDropped : std::max(joined, lat[i]);
     }
+    std::vector<double>().swap(results[si].lat);
+    std::vector<uint32_t>().swap(piece_owner[si]);
   }
 
   FleetReport rep;
@@ -282,25 +281,25 @@ FleetReport MergeFleet(const FleetConfig& cfg, const ShardMap& map,
   rep.num_tenants = num_tenants;
   rep.volume_bytes = map.volume_bytes();
 
-  SampleSet all_ms;
-  SampleSet read_ms;
-  SampleSet write_ms;
-  all_ms.Reserve(num_records);
+  // Compact the served requests to the front in record order; the sample
+  // set then summarises them in that order, as an Add() per request would.
+  StreamingStats read_ms;
+  StreamingStats write_ms;
+  size_t served = 0;
   for (size_t r = 0; r < num_records; ++r) {
     if ((rec_flags[r] & kRecSplit) != 0) {
       ++rep.split_requests;
     }
-    if (logical_dropped[r] != 0 || logical_ms[r] < 0) {
+    const double ms = logical_ms[r];
+    if (ms < 0 || ms == kDropped) {
       ++rep.dropped;
       continue;
     }
-    all_ms.Add(logical_ms[r]);
-    if ((rec_flags[r] & kRecWrite) != 0) {
-      write_ms.Add(logical_ms[r]);
-    } else {
-      read_ms.Add(logical_ms[r]);
-    }
+    ((rec_flags[r] & kRecWrite) != 0 ? write_ms : read_ms).Add(ms);
+    logical_ms[served++] = ms;
   }
+  logical_ms.resize(served);
+  SampleSet all_ms(std::move(logical_ms));
   rep.requests = all_ms.Count();
   rep.reads = read_ms.Count();
   rep.writes = write_ms.Count();
@@ -435,7 +434,8 @@ class FleetReplay {
       results.push_back(std::move(cell->result));
     }
     return MergeFleet(cfg_, map_, workload, num_tenants, std::move(results),
-                      piece_owner_, rec_flags_, opts_, trace_shards_);
+                      std::move(piece_owner_), rec_flags_, opts_,
+                      trace_shards_);
   }
 
  private:

@@ -218,9 +218,10 @@ class VolumeManager {
   // header carries the tenant count into the report) through the chunked
   // pipeline: each chunk is routed through the shard map and replayed --
   // all shards advancing under the deterministic sweep -- before the next
-  // chunk is read. Trace text and routed pieces stay O(chunk); only the
-  // per-request completion join (one latency and a flag byte per logical
-  // request, which Run keeps too) scales with the trace.
+  // chunk is read. Trace text and routed pieces stay O(chunk); only latency
+  // state scales with the trace, as in Run: per routed piece the shard's
+  // retained sample, the piece latency and its owner (20 B), per request a
+  // flag byte, and at the join one latency (8 B) per request.
   // The FleetReport is field-exact vs loading the same file and calling
   // Run(), for any thread count. On a parse/file error (*status if
   // non-null) the report covers the replayed prefix.

@@ -13,6 +13,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "stats/streaming.h"
@@ -21,6 +22,16 @@ namespace afraid {
 
 class SampleSet {
  public:
+  SampleSet() = default;
+  // Adopts `samples` without copying; the summary sees them in order, so
+  // every statistic equals that of Add()ing them one by one.
+  explicit SampleSet(std::vector<double> samples)
+      : samples_(std::move(samples)) {
+    for (const double x : samples_) {
+      summary_.Add(x);
+    }
+  }
+
   void Add(double x) {
     samples_.push_back(x);
     summary_.Add(x);

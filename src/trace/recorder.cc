@@ -1,6 +1,7 @@
 #include "trace/recorder.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 
 namespace afraid {
@@ -59,11 +60,18 @@ void WorkloadRecorder::SetTenants(int32_t tenants) {
 }
 
 void WorkloadRecorder::Append(const TraceRecord& r) {
-  char line[96];
-  const int n =
-      std::snprintf(line, sizeof(line), "%" PRId64 " %c %" PRId64 " %d\n",
-                    r.time, r.is_write ? 'W' : 'R', r.offset, r.size);
-  Emit(line, static_cast<size_t>(n));
+  // "<time> <R|W> <offset> <size>\n"; each field gets room for its widest
+  // value (20 chars for an int64, 11 for an int32), 56 bytes in all.
+  char line[64];
+  char* p = std::to_chars(line, line + 20, r.time).ptr;
+  *p++ = ' ';
+  *p++ = r.is_write ? 'W' : 'R';
+  *p++ = ' ';
+  p = std::to_chars(p, p + 20, r.offset).ptr;
+  *p++ = ' ';
+  p = std::to_chars(p, p + 11, r.size).ptr;
+  *p++ = '\n';
+  Emit(line, static_cast<size_t>(p - line));
   ++records_;
 }
 

@@ -2,8 +2,18 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string_view>
 
 namespace afraid {
+
+namespace {
+
+// Room past one chunk for the partial line a window carries into the next:
+// a record line of the format is at most about 60 bytes, so the steady state
+// never grows the buffer.
+constexpr size_t kLineBytes = 256;
+
+}  // namespace
 
 TraceChunkReader::TraceChunkReader(const std::string& path,
                                    const StreamOptions& opts)
@@ -16,124 +26,64 @@ TraceChunkReader::TraceChunkReader(const std::string& path,
     finished_ = true;
     return;
   }
-  StartPrefetch();
+  capacity_ = chunk_bytes_ + kLineBytes;
+  buf_ = std::make_unique_for_overwrite<char[]>(capacity_);
 }
 
 TraceChunkReader::~TraceChunkReader() {
-  if (prefetch_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    prefetch_.join();
-  }
   if (file_ != nullptr) {
     std::fclose(file_);
   }
 }
 
-void TraceChunkReader::FillBlock(std::string* dst, bool* at_eof,
-                                 bool* read_err) {
-  dst->resize(chunk_bytes_);
-  const size_t got = std::fread(dst->data(), 1, chunk_bytes_, file_);
-  dst->resize(got);
-  *read_err = std::ferror(file_) != 0;
-  *at_eof = !*read_err && got < chunk_bytes_;
-}
-
-void TraceChunkReader::StartPrefetch() {
-  prefetch_ = std::thread([this] {
-    std::string local;
-    for (;;) {
-      bool eof = false;
-      bool err = false;
-      FillBlock(&local, &eof, &err);
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return !ready_ || stop_; });
-        if (stop_) {
-          return;
-        }
-        ready_block_.swap(local);
-        ready_ = true;
-        ready_eof_ = eof;
-        ready_err_ = err;
-      }
-      cv_.notify_all();
-      if (eof || err) {
-        return;  // The final (possibly empty) block has been delivered.
-      }
-    }
-  });
-}
-
-void TraceChunkReader::TakeBlock(std::string* dst, bool* at_eof,
-                                 bool* read_err) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return ready_; });
-  dst->swap(ready_block_);
-  *at_eof = ready_eof_;
-  *read_err = ready_err_;
-  ready_ = false;
-  lock.unlock();
-  cv_.notify_all();
-}
-
-void TraceChunkReader::NotePeak() {
-  size_t mailbox = 0;
-  {
-    // The prefetch thread swaps blocks into the mailbox under mu_.
-    std::lock_guard<std::mutex> lock(mu_);
-    mailbox = ready_block_.capacity();
+void TraceChunkReader::ReadBlock() {
+  if (len_ + chunk_bytes_ > capacity_) {
+    // A line longer than the slack: grow geometrically until it fits.
+    capacity_ = std::max(len_ + chunk_bytes_, 2 * capacity_);
+    auto grown = std::make_unique_for_overwrite<char[]>(capacity_);
+    std::memcpy(grown.get(), buf_.get(), len_);
+    buf_ = std::move(grown);
   }
-  const size_t now = window_.capacity() + carry_.capacity() +
-                     block_.capacity() + mailbox +
-                     chunk_.records.capacity() * sizeof(TraceRecord);
-  peak_buffer_bytes_ = std::max(peak_buffer_bytes_, now);
+  const size_t got = std::fread(buf_.get() + len_, 1, chunk_bytes_, file_);
+  len_ += got;
+  if (std::ferror(file_) != 0) {
+    status_ = TraceStatus::Error(0, "error reading trace file");
+    finished_ = true;
+  } else if (got < chunk_bytes_) {
+    input_done_ = true;
+  }
 }
 
 bool TraceChunkReader::Next() {
   while (status_.ok && !finished_) {
-    // Assemble the parse window: the carried partial line, then fresh blocks
-    // until the window contains a newline (normally one block; more only for
-    // a pathological line longer than a chunk) or the file ends.
-    window_.clear();
-    window_.append(carry_);  // Copy, not swap: both keep their capacity.
-    carry_.clear();
-    size_t search_from = 0;  // The carry never contains a newline.
-    while (!input_done_ &&
-           window_.find('\n', search_from) == std::string::npos) {
-      search_from = window_.size();
-      bool at_eof = false;
-      bool read_err = false;
-      TakeBlock(&block_, &at_eof, &read_err);
-      window_.append(block_);
-      if (read_err) {
-        status_ = TraceStatus::Error(0, "error reading trace file");
-        finished_ = true;
+    // Append blocks after the carried partial line until the window contains
+    // a newline (normally one block; more only for a line longer than a
+    // chunk) or the file ends. The carry never contains a newline.
+    size_t search_from = len_;
+    while (!input_done_ && std::memchr(buf_.get() + search_from, '\n',
+                                       len_ - search_from) == nullptr) {
+      search_from = len_;
+      ReadBlock();
+      if (finished_) {
         return false;
-      }
-      if (at_eof) {
-        input_done_ = true;
       }
     }
 
     // Parse up to the last newline; carry the tail. At end of file the final
     // partial line (a file with no trailing newline) is parsed as-is.
-    size_t parse_len = window_.size();
-    if (!input_done_) {
-      const size_t last_nl = window_.rfind('\n');
-      parse_len = last_nl + 1;  // A newline is guaranteed by the loop above.
-      carry_.assign(window_, parse_len, std::string::npos);
-    }
+    const std::string_view window(buf_.get(), len_);
+    const size_t parse_len = input_done_ ? len_ : window.rfind('\n') + 1;
 
     chunk_.name.clear();
     chunk_.tenants = 0;
     chunk_.records.clear();
-    status_ = ScanTraceChunk(std::string_view(window_.data(), parse_len),
-                             next_line_, &chunk_, &next_line_);
-    NotePeak();
+    status_ = ScanTraceChunk(window.substr(0, parse_len), next_line_, &chunk_,
+                             &next_line_);
+    len_ -= parse_len;
+    std::memmove(buf_.get(), buf_.get() + parse_len, len_);
+    peak_buffer_bytes_ =
+        std::max(peak_buffer_bytes_,
+                 capacity_ + chunk_.records.capacity() * sizeof(TraceRecord));
     if (!chunk_.name.empty()) {
       name_ = chunk_.name;
     }

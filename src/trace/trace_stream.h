@@ -1,26 +1,27 @@
 // Streaming trace ingest: fixed-memory chunked reads over the text trace
-// format, with double-buffered read-ahead.
+// format, through one read buffer.
 //
 // The monolithic path (LoadTraceFile) reads the whole file and scans it in
 // place -- simple, but memory scales with trace length, which caps replay at
-// what fits in RAM. TraceChunkReader instead pulls the file through a pair of
-// fixed-size buffers: a prefetch thread (pure freads, no parsing, so the
-// parse order stays deterministic) fills the next block while the caller
-// parses the current one. Partial lines at a chunk boundary are carried into
-// the next parse window, and the scanner is handed a running absolute line
-// number, so diagnostics ("trace.txt:712934: malformed size field") are
-// byte-identical to what a monolithic parse of the same file would report.
+// what fits in RAM. TraceChunkReader instead pulls the file through a single
+// buffer, allocated once: the partial line carried from the previous chunk
+// sits at the front, the next chunk_bytes of the file are freaded after it,
+// the scanner parses in place up to the last newline, and the new partial
+// tail is moved to the front for the next call. Reads happen on the caller's
+// thread; the kernel's sequential readahead is the only prefetch. The
+// scanner is handed a running absolute line number, so diagnostics
+// ("trace.txt:712934: malformed size field") are byte-identical to what a
+// monolithic parse of the same file would report.
 //
-// Memory is O(chunk_bytes + longest line), independent of trace length.
+// Memory is one chunk plus the longest line, plus the parsed records of one
+// chunk, independent of trace length.
 
 #ifndef AFRAID_TRACE_TRACE_STREAM_H_
 #define AFRAID_TRACE_TRACE_STREAM_H_
 
-#include <condition_variable>
 #include <cstdio>
-#include <mutex>
+#include <memory>
 #include <string>
-#include <thread>
 
 #include "trace/trace.h"
 
@@ -29,7 +30,7 @@ namespace afraid {
 struct StreamOptions {
   // Bytes of trace text ingested (and replayed) per chunk. The floor is one
   // line: a pathological line longer than a chunk grows the window until a
-  // newline appears, then the window shrinks back.
+  // newline appears.
   size_t chunk_bytes = 4u << 20;
 };
 
@@ -65,19 +66,15 @@ class TraceChunkReader {
   int64_t chunks_read() const { return chunks_read_; }
   uint64_t records_read() const { return records_read_; }
 
-  // High-water mark of all reader-owned memory: parse window + carry + block
-  // + prefetch mailbox + the reused record vector. This is the "fixed" in
-  // fixed-memory -- it must not grow with trace length, only with chunk size
-  // (and the longest single line).
+  // High-water mark of all reader-owned memory: the read buffer plus the
+  // reused record vector. This is the "fixed" in fixed-memory -- it must not
+  // grow with trace length, only with chunk size (and the longest line).
   size_t peak_buffer_bytes() const { return peak_buffer_bytes_; }
 
  private:
-  void StartPrefetch();
-  // Blocks until the next block of at most chunk_bytes is available and
-  // swaps it into *dst; sets *at_eof / *read_err from the underlying fread.
-  void TakeBlock(std::string* dst, bool* at_eof, bool* read_err);
-  void FillBlock(std::string* dst, bool* at_eof, bool* read_err);
-  void NotePeak();
+  // Appends the next at most chunk_bytes of the file after the len_ bytes
+  // already in the buffer, growing it only when they do not fit.
+  void ReadBlock();
 
   const size_t chunk_bytes_;
   std::FILE* file_ = nullptr;
@@ -86,26 +83,17 @@ class TraceChunkReader {
   std::string name_;
   int32_t tenants_ = 0;
 
-  std::string window_;  // carry + fresh bytes, parsed up to its last newline.
-  std::string carry_;   // partial trailing line awaiting the next chunk.
-  std::string block_;   // scratch the next block is swapped into.
+  // The parse window: the carried partial line (no newline), then fresh
+  // bytes. len_ bytes are valid; capacity_ is one chunk plus a line.
+  std::unique_ptr<char[]> buf_;
+  size_t capacity_ = 0;
+  size_t len_ = 0;
   int64_t next_line_ = 1;
   bool input_done_ = false;  // no more bytes will arrive from the file.
   bool finished_ = false;    // final window parsed; Next() is done.
   int64_t chunks_read_ = 0;
   uint64_t records_read_ = 0;
   size_t peak_buffer_bytes_ = 0;
-
-  // Depth-1 prefetch mailbox (one block ready + one being parsed = double
-  // buffering). The prefetch thread starts once the file is open.
-  std::thread prefetch_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::string ready_block_;
-  bool ready_ = false;
-  bool ready_eof_ = false;
-  bool ready_err_ = false;
-  bool stop_ = false;
 };
 
 }  // namespace afraid

@@ -6,16 +6,6 @@
 namespace afraid {
 namespace {
 
-// Picks a size from the discrete (size, weight) distribution.
-int32_t PickSize(const WorkloadParams& p, Rng& rng) {
-  std::vector<double> weights;
-  weights.reserve(p.size_dist.size());
-  for (const auto& [size, w] : p.size_dist) {
-    weights.push_back(w);
-  }
-  return p.size_dist[rng.WeightedIndex(weights)].first;
-}
-
 int64_t AlignDown(int64_t x, int64_t align) { return x - (x % align); }
 
 }  // namespace
@@ -53,6 +43,13 @@ Trace GenerateWorkload(const WorkloadParams& p, uint64_t max_requests,
   const double long_idle_xm =
       p.mean_long_idle_ms * (p.long_idle_alpha - 1.0) / p.long_idle_alpha;
 
+  // Request sizes are drawn from the discrete (size, weight) distribution.
+  std::vector<double> size_weights;
+  size_weights.reserve(p.size_dist.size());
+  for (const auto& [size, w] : p.size_dist) {
+    size_weights.push_back(w);
+  }
+
   SimTime now = 0;
   // Sequential-run state.
   int64_t run_next_offset = -1;
@@ -65,7 +62,7 @@ Trace GenerateWorkload(const WorkloadParams& p, uint64_t max_requests,
         break;
       }
       TraceRecord r;
-      const int32_t size = PickSize(p, rng);
+      const int32_t size = p.size_dist[rng.WeightedIndex(size_weights)].first;
       const bool continue_run = run_next_offset >= 0 && rng.Bernoulli(p.seq_prob) &&
                                 run_next_offset + size <= p.address_space_bytes;
       if (continue_run) {

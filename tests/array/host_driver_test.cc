@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -109,6 +110,51 @@ TEST(HostDriver, SeparatesReadAndWriteLatencies) {
   EXPECT_EQ(driver.ReadLatencies().Count(), 1u);
   EXPECT_EQ(driver.WriteLatencies().Count(), 2u);
   EXPECT_EQ(driver.AllLatencies().Count(), 3u);
+}
+
+// The read/write split keeps only a running summary; its count, mean and
+// max must equal those of every latency the completion listener sees, in
+// the order it sees them. The whole distribution is still retained once.
+TEST(HostDriver, ReadWriteSummariesMatchListenerSamples) {
+  Simulator sim;
+  FakeArray array(&sim, Milliseconds(10));
+  HostDriver driver(&sim, &array, 3);
+  std::vector<double> reads;
+  std::vector<double> writes;
+  driver.SetCompletionListener([&](uint64_t /*id*/, double ms, bool is_write) {
+    (is_write ? writes : reads).push_back(ms);
+  });
+  for (int i = 0; i < 40; ++i) {
+    // Queueing behind the concurrency limit spreads the latencies.
+    sim.At(Milliseconds(3 * i), [&driver, i] {
+      driver.Submit((i * 7919 % 40) * 512, 512, i % 3 == 0);
+    });
+  }
+  sim.RunToEnd();
+  ASSERT_TRUE(driver.Drained());
+
+  const auto expect_summary = [](const StreamingStats& got,
+                                 const std::vector<double>& samples) {
+    StreamingStats want;
+    for (const double ms : samples) {
+      want.Add(ms);
+    }
+    EXPECT_EQ(got.Count(), samples.size());
+    EXPECT_EQ(got.Mean(), want.Mean());
+    EXPECT_EQ(got.Max(), *std::max_element(samples.begin(), samples.end()));
+  };
+  ASSERT_FALSE(reads.empty());
+  ASSERT_FALSE(writes.empty());
+  expect_summary(driver.ReadLatencies(), reads);
+  expect_summary(driver.WriteLatencies(), writes);
+  EXPECT_GT(driver.ReadLatencies().Max(), driver.ReadLatencies().Min());
+
+  std::vector<double> all = reads;
+  all.insert(all.end(), writes.begin(), writes.end());
+  std::vector<double> retained = driver.AllLatencies().Samples();
+  std::sort(all.begin(), all.end());
+  std::sort(retained.begin(), retained.end());
+  EXPECT_EQ(retained, all);
 }
 
 TEST(HostDriver, LatencyIncludesQueueingDelay) {

@@ -41,6 +41,12 @@ ReplayResult RunOnce(const ArrayConfig& cfg, const Trace& trace, size_t span) {
                        AvailabilityParamsFor(cfg));
   HostDriver driver(&sim, &ctl, cfg.MaxActive());
   TraceReplayer replayer(&sim, &driver);
+  // The driver keeps running summaries of the read/write split; collect the
+  // samples themselves, in completion order, through the listener.
+  ReplayResult res;
+  driver.SetCompletionListener([&res](uint64_t /*id*/, double ms, bool is_write) {
+    (is_write ? res.write_ms : res.read_ms).push_back(ms);
+  });
 
   const std::vector<TraceRecord>& recs = trace.records;
   if (span == 0) {
@@ -59,10 +65,7 @@ ReplayResult RunOnce(const ArrayConfig& cfg, const Trace& trace, size_t span) {
   EXPECT_TRUE(driver.Drained());
   EXPECT_EQ(replayer.submitted(), span == 0 ? 0u : recs.size());
 
-  ReplayResult res;
   res.all_ms = driver.AllLatencies().Samples();
-  res.read_ms = driver.ReadLatencies().Samples();
-  res.write_ms = driver.WriteLatencies().Samples();
   res.disk_ops = ctl.TotalDiskOps();
   res.end_time = sim.Now();
   return res;

@@ -244,6 +244,62 @@ TEST(FleetRun, DestroyMidChunkAccountsForEveryRoutedPiece) {
   }
 }
 
+// A request with a piece on a destroyed shard is dropped as a whole, even
+// when its other pieces were served: the join's dropped-piece sentinel.
+// Run and RunStreamed (64 KiB and 4 MiB chunks) agree field for field.
+TEST(FleetRun, SplitRequestWithDroppedPieceIsDroppedWhole) {
+  FleetConfig cfg = TinyFleet();
+  cfg.num_shards = 4;
+  cfg.sharding = ShardingKind::kConsistentHash;
+  cfg.chunk_bytes = 64 * 1024;
+  VolumeManager vm(cfg);
+  const FleetTrace trace = TinyTenants(vm.VolumeBytes(), 64, 8000);
+  // Destroy shard 0 between two arrivals, a fifth of the way in: records up
+  // to k arrive before it, the rest after.
+  size_t k = trace.Size() / 5;
+  while (trace.records[k + 1].time <= trace.records[k].time + 1) {
+    ++k;
+  }
+  vm.Destroy(trace.records[k].time + 1, /*shard=*/0);
+
+  uint64_t want_dropped = 0;
+  uint64_t split_with_dropped_piece = 0;
+  std::vector<ShardPiece> pieces;
+  for (size_t r = k + 1; r < trace.Size(); ++r) {
+    vm.shard_map().SplitRange(trace.records[r].offset, trace.records[r].size,
+                              &pieces);
+    bool on_destroyed = false;
+    bool elsewhere = false;
+    for (const ShardPiece& p : pieces) {
+      (p.shard == 0 ? on_destroyed : elsewhere) = true;
+    }
+    want_dropped += on_destroyed ? 1 : 0;
+    split_with_dropped_piece += on_destroyed && elsewhere ? 1 : 0;
+  }
+  ASSERT_GT(split_with_dropped_piece, 0u);
+
+  const FleetReport want = vm.Run(trace);
+  EXPECT_EQ(want.dropped, want_dropped);
+  EXPECT_EQ(want.requests + want.dropped, trace.Size());
+  EXPECT_GT(want.shards[0].dropped, 0u);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "afraid_fleet_sentinel.txt")
+          .string();
+  ASSERT_TRUE(RecordFleetTrace(trace, path).ok);
+  for (const size_t chunk : {64u << 10, 4u << 20}) {
+    SCOPED_TRACE(chunk);
+    StreamOptions sopts;
+    sopts.chunk_bytes = chunk;
+    TraceStatus st;
+    const FleetReport got =
+        vm.RunStreamed(path, sopts, VolumeManager::RunOptions(), &st);
+    ASSERT_TRUE(st.ok) << st.message;
+    EXPECT_EQ(FleetReportToJson(got), FleetReportToJson(want));
+  }
+  std::remove(path.c_str());
+}
+
 TEST(FleetRun, InvalidMgmtOpsAreRefusedAndCountedByKind) {
   // Every registered scheme now supports fail/repair; refusals come from
   // *invalid* ops: failing an out-of-range disk, repairing a disk that never

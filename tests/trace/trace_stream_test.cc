@@ -84,23 +84,97 @@ TEST(TraceStream, ChunkBoundarySplitsMatchMonolithic) {
   std::remove(path.c_str());
 }
 
-// A final line without a trailing newline is a complete record.
+// A final line without a trailing newline is a complete record, wherever
+// the last block seam falls: inside it, right before it, or nowhere near.
 TEST(TraceStream, FinalLineWithoutNewline) {
   const std::string path = TempPath("afraid_stream_nonl.txt");
-  WriteFileBytes(path,
-                 "# afraid-trace v1\n"
-                 "# name tail\n"
-                 "0 R 0 512\n"
-                 "1000 W 8192 4096");  // No trailing newline.
-  StreamOptions opts;
-  opts.chunk_bytes = 64;
-  const Trace streamed = StreamAll(path, opts);
-  ASSERT_EQ(streamed.records.size(), 2u);
-  EXPECT_EQ(streamed.name, "tail");
-  EXPECT_EQ(streamed.records[1].time, 1000);
-  EXPECT_EQ(streamed.records[1].offset, 8192);
-  EXPECT_EQ(streamed.records[1].size, 4096);
-  EXPECT_TRUE(streamed.records[1].is_write);
+  std::string text = "# afraid-trace v1\n# name tail\n0 R 0 512\n";
+  for (int i = 1; i <= 12; ++i) {
+    text += std::to_string(i * 1000) + " R " + std::to_string(i * 512) +
+            " 512\n";
+  }
+  text += "99000 W 8192 4096";  // No trailing newline.
+  WriteFileBytes(path, text);
+  const size_t last_line = text.rfind('\n') + 1;
+
+  for (size_t chunk = 64; chunk <= 160; ++chunk) {
+    SCOPED_TRACE(chunk);
+    StreamOptions opts;
+    opts.chunk_bytes = chunk;
+    const Trace streamed = StreamAll(path, opts);
+    ASSERT_EQ(streamed.records.size(), 14u);
+    EXPECT_EQ(streamed.name, "tail");
+    const TraceRecord& last = streamed.records.back();
+    EXPECT_EQ(last.time, 99000);
+    EXPECT_EQ(last.offset, 8192);
+    EXPECT_EQ(last.size, 4096);
+    EXPECT_TRUE(last.is_write);
+  }
+  // The chunk sizes above put a seam inside the unterminated line.
+  bool seam_inside_last = false;
+  for (size_t chunk = 64; chunk <= 160; ++chunk) {
+    for (size_t seam = chunk; seam < text.size(); seam += chunk) {
+      seam_inside_last |= seam > last_line;
+    }
+  }
+  EXPECT_TRUE(seam_inside_last);
+  std::remove(path.c_str());
+}
+
+// A line longer than two chunks -- a header and a record padded with
+// separators -- grows the window until its newline arrives, and the records
+// around it still match the monolithic parse.
+TEST(TraceStream, LineLongerThanTwoChunks) {
+  const std::string path = TempPath("afraid_stream_longline.txt");
+  const std::string long_name(300, 'n');
+  const std::string pad(200, ' ');
+  const std::string text = "# afraid-trace v1\n# name " + long_name +
+                           "\n0 R 0 512\n1000" + pad + "W" + pad + "8192" +
+                           pad + "4096\n2000 R 512 512\n";
+  WriteFileBytes(path, text);
+
+  Trace mono;
+  ASSERT_TRUE(LoadTraceFile(path, &mono).ok);
+  ASSERT_EQ(mono.records.size(), 3u);
+  for (const size_t chunk : {64u, 100u, 128u}) {
+    SCOPED_TRACE(chunk);
+    StreamOptions opts;
+    opts.chunk_bytes = chunk;
+    const Trace streamed = StreamAll(path, opts);
+    EXPECT_EQ(streamed.name, long_name);
+    ExpectSameRecords(streamed, mono);
+  }
+  std::remove(path.c_str());
+}
+
+// CRLF line endings parse the same when a block seam falls between the
+// '\r' and the '\n' of a line.
+TEST(TraceStream, CrlfLineSplitAtBlockSeam) {
+  const std::string path = TempPath("afraid_stream_crlf.txt");
+  std::string text = "# afraid-trace v1\r\n# name crlf\r\n";
+  for (int i = 0; i < 40; ++i) {
+    text += std::to_string(i * 1000) + (i % 3 == 0 ? " W " : " R ") +
+            std::to_string(i * 4096) + " 4096\r\n";
+  }
+  WriteFileBytes(path, text);
+
+  Trace mono;
+  ASSERT_TRUE(LoadTraceFile(path, &mono).ok);
+  ASSERT_EQ(mono.records.size(), 40u);
+  int seams_in_crlf = 0;
+  for (size_t chunk = 64; chunk <= 128; ++chunk) {
+    SCOPED_TRACE(chunk);
+    // Reads are sequential, so block seams sit at multiples of the chunk.
+    for (size_t seam = chunk; seam < text.size(); seam += chunk) {
+      seams_in_crlf += text[seam - 1] == '\r' ? 1 : 0;
+    }
+    StreamOptions opts;
+    opts.chunk_bytes = chunk;
+    const Trace streamed = StreamAll(path, opts);
+    EXPECT_EQ(streamed.name, "crlf");
+    ExpectSameRecords(streamed, mono);
+  }
+  EXPECT_GT(seams_in_crlf, 0);
   std::remove(path.c_str());
 }
 
@@ -162,6 +236,50 @@ TEST(TraceStream, MidTraceErrorKeepsAbsoluteLineNumber) {
   EXPECT_EQ(reader.status().message, mono_st.message);
   // Everything before the bad line was still delivered.
   EXPECT_EQ(before_error, 200u);
+  std::remove(path.c_str());
+}
+
+// A malformed line that starts exactly at a block seam -- the window before
+// it ends on its newline, so nothing is carried -- keeps its absolute line
+// number, and every record before it is delivered.
+TEST(TraceStream, MalformedLineRightAfterSeamKeepsLineNumber) {
+  const std::string path = TempPath("afraid_stream_seamerr.txt");
+  constexpr size_t kChunk = 128;
+  std::string text = "# afraid-trace v1\n";
+  int64_t lines = 1;
+  int good = 0;
+  while (text.size() + 24 < kChunk) {
+    text += std::to_string(good * 1000) + " R 0 512\n";
+    ++lines;
+    ++good;
+  }
+  // Pad one more record with separators so the text ends on the seam.
+  const std::string last = "99 R 0 512\n";
+  text += "99" + std::string(kChunk - text.size() - last.size(), ' ') +
+          last.substr(2);
+  ++lines;
+  ++good;
+  ASSERT_EQ(text.size(), kChunk);
+  text += "100 X 0 512\n";  // Bad op letter, first byte of the next block.
+  text += "200 R 0 512\n";
+  WriteFileBytes(path, text);
+
+  Trace mono;
+  const TraceStatus mono_st = LoadTraceFile(path, &mono);
+  ASSERT_FALSE(mono_st.ok);
+  ASSERT_EQ(mono_st.line, lines + 1);
+
+  StreamOptions opts;
+  opts.chunk_bytes = kChunk;
+  TraceChunkReader reader(path, opts);
+  uint64_t before_error = 0;
+  while (reader.Next()) {
+    before_error += reader.chunk().records.size();
+  }
+  EXPECT_FALSE(reader.status().ok);
+  EXPECT_EQ(reader.status().line, mono_st.line);
+  EXPECT_EQ(reader.status().message, mono_st.message);
+  EXPECT_EQ(before_error, static_cast<uint64_t>(good));
   std::remove(path.c_str());
 }
 
@@ -231,6 +349,25 @@ TEST(TraceStream, PeakBufferBoundedByChunkNotTraceLength) {
   EXPECT_LE(peak_long, opts.chunk_bytes * 16);
   std::remove(short_path.c_str());
   std::remove(long_path.c_str());
+}
+
+// At a realistic chunk size, one read buffer plus one chunk's records stay
+// within four chunks over a trace of many chunks.
+TEST(TraceStream, PeakBufferWithinFourChunksAt256KiB) {
+  WorkloadParams p = PaperWorkloads()[2];
+  p.address_space_bytes = 1LL << 30;
+  const std::string path = TempPath("afraid_stream_256k.txt");
+  ASSERT_TRUE(RecordTrace(GenerateWorkload(p, 100000, Hours(24 * 30)), path).ok);
+
+  StreamOptions opts;
+  opts.chunk_bytes = 256 * 1024;
+  TraceChunkReader reader(path, opts);
+  while (reader.Next()) {
+  }
+  ASSERT_TRUE(reader.status().ok);
+  EXPECT_GE(reader.chunks_read(), 8);
+  EXPECT_LE(reader.peak_buffer_bytes(), 4 * opts.chunk_bytes);
+  std::remove(path.c_str());
 }
 
 // WorkloadRecorder's byte format is exactly SerializeTrace's.
