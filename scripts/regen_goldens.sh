@@ -9,6 +9,8 @@
 #   * tests/golden/availability_mc_200_3.txt and tests/golden/failure_drill.txt
 #     -- faultsim's endless workload replay, drills and campaign summary
 #     (`availability_mc 200 3`, `failure_drill`);
+#   * tests/golden/mc_availability_200.txt -- the four-policy Monte-Carlo
+#     table (`bench_mc_availability` at 200 lifetimes on 2 threads);
 #   * BENCH_engine.json -- the micro-benchmark baseline the CI bench gate
 #     compares hot-path timings to (loose factor, Release build);
 #   * BENCH_rebuild.json -- the declustering rebuild comparison (window,
@@ -46,8 +48,8 @@ trap cleanup EXIT
 echo "== configuring Release build in $build"
 cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$build" -j --target trace_replay fleet_service \
-    availability_mc failure_drill bench_micro_engine bench_rebuild_decluster \
-    >/dev/null
+    availability_mc failure_drill bench_mc_availability bench_micro_engine \
+    bench_rebuild_decluster >/dev/null
 
 echo "== regenerating tests/golden/trace_replay_cello-usr_2000.txt"
 "$build/examples/trace_replay" cello-usr 2000 \
@@ -65,6 +67,10 @@ done > "$stage/fleet_failure_grid_8000.txt"
 echo "== regenerating tests/golden/availability_mc_200_3.txt and failure_drill.txt"
 "$build/examples/availability_mc" 200 3 > "$stage/availability_mc_200_3.txt"
 "$build/examples/failure_drill" > "$stage/failure_drill.txt"
+
+echo "== regenerating tests/golden/mc_availability_200.txt"
+AFRAID_MC_LIFETIMES=200 AFRAID_MC_THREADS=2 \
+    "$build/bench/bench_mc_availability" > "$stage/mc_availability_200.txt"
 
 echo "== regenerating BENCH_engine.json (Release micro-bench baseline)"
 "$build/bench/bench_micro_engine" \
@@ -99,6 +105,7 @@ mv "$stage/fleet_failure_grid_8000.txt" \
 mv "$stage/availability_mc_200_3.txt" \
    "$repo/tests/golden/availability_mc_200_3.txt"
 mv "$stage/failure_drill.txt" "$repo/tests/golden/failure_drill.txt"
+mv "$stage/mc_availability_200.txt" "$repo/tests/golden/mc_availability_200.txt"
 mv "$stage/BENCH_engine.json" "$repo/BENCH_engine.json"
 mv "$stage/BENCH_rebuild.json" "$repo/BENCH_rebuild.json"
 
