@@ -39,6 +39,7 @@ SchemeInfo MakeRaid6Info(const char* name, const char* description,
   info.description = description;
   info.parity_blocks = 2;
   info.avail_scheme = RedundancyScheme::kRaid5;
+  info.always_redundant = mode == Raid6Mode::kSynchronous;
   info.create = [mode](const SchemeContext& ctx) -> std::unique_ptr<ArrayScheme> {
     return std::make_unique<Raid6Controller>(ctx.sim, ctx.config, mode, ctx.probe);
   };
@@ -105,6 +106,7 @@ std::vector<SchemeInfo> BuiltIns() {
     info.parity_blocks = 0;
     info.requires_even_disks = true;
     info.avail_scheme = RedundancyScheme::kRaid5;
+    info.always_redundant = true;
     info.create = [](const SchemeContext& ctx) -> std::unique_ptr<ArrayScheme> {
       return std::make_unique<MirrorController>(ctx.sim, ctx.config, ctx.probe);
     };
@@ -187,6 +189,16 @@ RedundancyScheme SchemeRegistry::AvailSchemeFor(const std::string& name,
     return RedundancyScheme::kRaid5;
   }
   return info->uses_policy ? SchemeFor(policy) : info->avail_scheme;
+}
+
+bool SchemeRegistry::AlwaysRedundant(const std::string& name,
+                                     const PolicySpec& policy) {
+  const SchemeInfo* info = Find(name);
+  if (info == nullptr) {
+    return false;
+  }
+  return info->uses_policy ? SchemeFor(policy) == RedundancyScheme::kRaid5
+                           : info->always_redundant;
 }
 
 }  // namespace afraid

@@ -1,10 +1,10 @@
 #include "faultsim/campaign.h"
 
-#include <cassert>
 #include <cmath>
-#include <limits>
+#include <optional>
 
 #include "core/experiment.h"
+#include "core/scheme_registry.h"
 #include "faultsim/exposure.h"
 #include "faultsim/scenario.h"
 #include "sim/random.h"
@@ -39,12 +39,17 @@ LifetimeResult RunLifetime(const CampaignConfig& config, int32_t index,
 
   const AvailabilityParams avail = AvailabilityParamsFor(config.array);
 
-  ExposureModel exposure(config.scheme, config.array, config.policy,
-                         config.workload, exposure_seed,
-                         arena != nullptr ? &arena->array_sim : nullptr);
-  exposure.Advance(config.exposure_warmup);
-  while (exposure.RequestsCompleted() < config.warmup_requests) {
-    exposure.Advance(Seconds(10));
+  // An always-redundant array has no exposure to sample: no stripe is ever
+  // stale, so its lifetime runs no array simulation at all.
+  std::optional<ExposureModel> exposure;
+  if (!SchemeRegistry::AlwaysRedundant(config.scheme, config.policy)) {
+    exposure.emplace(config.scheme, config.array, config.policy,
+                     config.workload, exposure_seed,
+                     arena != nullptr ? &arena->array_sim : nullptr);
+    exposure->Advance(config.exposure_warmup);
+    while (exposure->RequestsCompleted() < config.warmup_requests) {
+      exposure->Advance(Seconds(10));
+    }
   }
 
   auto sample_gap = [&]() -> SimDuration {
@@ -73,16 +78,19 @@ LifetimeResult RunLifetime(const CampaignConfig& config, int32_t index,
       engine->Stop();
       return;
     }
+    if (!exposure) {
+      return;  // Nothing stale: reconstruction provably loses nothing.
+    }
     // Sample the stationary exposure process at a fresh random instant.
-    exposure.Advance(sample_gap());
-    if (exposure.DirtyBands() == 0) {
+    exposure->Advance(sample_gap());
+    if (exposure->DirtyBands() == 0) {
       // Every stripe has fresh parity: reconstruction provably loses
       // nothing, so skip the (expensive) drill. This is the common case for
-      // RAID 5 and for AFRAID after a long idle period.
+      // AFRAID after a long idle period.
       return;
     }
     ++res.drills;
-    const DrillResult drill = exposure.FailureDrill(disk);
+    const DrillResult drill = exposure->FailureDrill(disk);
     if (drill.bytes_lost > 0) {
       // One fault with stale stripes = one data-loss incident (Eq. (2a)'s
       // event), however many stripes it touched.
@@ -95,9 +103,10 @@ LifetimeResult RunLifetime(const CampaignConfig& config, int32_t index,
     // Exercise the controller's conservative scrub-the-world response; the
     // marking memory itself holds no client data, so loss only occurs when
     // the NVRAM is configured as also caching vulnerable client bytes.
-    const DrillResult drill = exposure.NvramDrill();
-    int64_t bytes = drill.bytes_lost;  // Scrub itself is lossless.
-    bytes += static_cast<int64_t>(config.faults.nvram_vulnerable_bytes);
+    int64_t bytes = static_cast<int64_t>(config.faults.nvram_vulnerable_bytes);
+    if (exposure) {
+      bytes += exposure->NvramDrill().bytes_lost;  // Scrub itself is lossless.
+    }
     if (bytes > 0) {
       ++res.nvram_loss_events;
       record_loss(now_hours, bytes);
@@ -122,8 +131,10 @@ LifetimeResult RunLifetime(const CampaignConfig& config, int32_t index,
   res.disk_failures = scenario.DiskFailures();
   res.predicted_averted = scenario.PredictedAverted();
   res.nvram_losses = scenario.NvramLosses();
-  res.t_unprot_fraction = exposure.TUnprotFraction();
-  res.mean_parity_lag_bytes = exposure.MeanParityLagBytes();
+  if (exposure) {
+    res.t_unprot_fraction = exposure->TUnprotFraction();
+    res.mean_parity_lag_bytes = exposure->MeanParityLagBytes();
+  }
   return res;
 }
 

@@ -83,6 +83,20 @@ TEST(CampaignTest, Raid5NeverLosesToSingleFailures) {
   EXPECT_LT(s.mttdl_hours.lo, kInf);
 }
 
+TEST(CampaignTest, AlwaysRedundantLifetimeRunsNoArray) {
+  // RAID 5 never holds a stale stripe, so its lifetime is priced from the
+  // fault timeline alone: the arena's array simulation processes no event.
+  LifetimeArena arena;
+  const LifetimeResult raid5 =
+      RunLifetime(TestCampaign(PolicySpec::Raid5(), 1, 2e7), 0, &arena);
+  EXPECT_GT(raid5.disk_failures, 0u);
+  EXPECT_GT(arena.timeline_sim.EventsProcessed(), 0u);
+  EXPECT_EQ(arena.array_sim.EventsProcessed(), 0u);
+  // Baseline AFRAID can be stale, so it samples the live array.
+  RunLifetime(TestCampaign(PolicySpec::AfraidBaseline(), 1, 2e7), 0, &arena);
+  EXPECT_GT(arena.array_sim.EventsProcessed(), 0u);
+}
+
 TEST(CampaignTest, AfraidSitsBetweenRaid0AndRaid5) {
   const CampaignSummary afraid =
       RunCampaign(TestCampaign(PolicySpec::AfraidBaseline(), 30, 5e7), 0);
