@@ -96,11 +96,6 @@ TraceStatus ScanTraceChunk(std::string_view text, int64_t first_line,
 // file, short read) report with line 0.
 TraceStatus LoadTraceFile(const std::string& path, Trace* out);
 
-// The legacy getline-plus-stream-extraction parser, kept as the reference
-// oracle for the fast scanner: tests assert record-for-record equality on
-// every in-tree workload, and BM_TraceParseStreamRef benchmarks against it.
-bool ParseTraceStreamRef(const std::string& text, Trace* out);
-
 // Compatibility wrappers over the fast path; return false on any error.
 bool ParseTrace(const std::string& text, Trace* out);
 bool WriteTraceFile(const std::string& path, const Trace& trace);

@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "trace/workload_gen.h"
+#include "trace_parse_ref.h"
 
 namespace afraid {
 namespace {
