@@ -26,6 +26,9 @@
 //   --decluster-width K declustered stripe width (units per stripe incl.
 //                       parity); 0 picks a width near half the array
 //
+// Records that reach past the array's data capacity are skipped, and a
+// "rejected:" line after the table counts them (only when there are any).
+//
 // Without flags the output is byte-identical to the pinned golden transcript;
 // with --stream only the first line and the trailing "streaming:" line differ
 // from the in-memory replay of the same trace.
@@ -221,6 +224,7 @@ int main(int argc, char** argv) {
                    exp.trace_status().message.c_str());
       return 1;
     }
+    peak.rejected = std::max(peak.rejected, exp.stream_stats().rejected);
     if (stream) {
       const StreamStats& s = exp.stream_stats();
       peak.chunks = std::max(peak.chunks, s.chunks);
@@ -234,6 +238,10 @@ int main(int argc, char** argv) {
                 rep.avail.mdlr_overall_bph);
   }
   std::printf("\nAFRAID goal: RAID 0-like latency, RAID 5-like availability.\n");
+  if (peak.rejected > 0) {
+    std::printf("rejected: %llu records past the array's data capacity\n",
+                static_cast<unsigned long long>(peak.rejected));
+  }
   if (stream) {
     std::printf("streaming: chunk_bytes=%zu chunks=%lld records=%llu "
                 "peak_buffer_bytes=%zu\n",

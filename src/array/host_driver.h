@@ -52,6 +52,8 @@ class HostDriver {
   // The id field is assigned by the driver.
   void Submit(int64_t offset, int32_t size, bool is_write);
 
+  const ArrayController& array() const { return *array_; }
+
   // Number of requests accepted / completed so far.
   uint64_t Accepted() const { return accepted_; }
   uint64_t Completed() const { return completed_; }

@@ -28,11 +28,13 @@ namespace afraid {
 
 // Replays fed spans of trace records through chained arrival events. Push
 // model: the driving loop alternates Feed(span) with stepping the simulator
-// until starved() (out of records) or Idle().
+// until starved() (out of records) or Idle(). A record that reaches past the
+// array's data capacity is rejected at its arrival: counted, never submitted.
 class TraceReplayer {
  public:
   TraceReplayer(Simulator* sim, HostDriver* driver)
-      : sim_(sim), driver_(driver) {}
+      : sim_(sim), driver_(driver),
+        capacity_bytes_(driver->array().DataCapacityBytes()) {}
   TraceReplayer(const TraceReplayer&) = delete;
   TraceReplayer& operator=(const TraceReplayer&) = delete;
 
@@ -51,10 +53,10 @@ class TraceReplayer {
   void Pause();
 
   // Reschedules the next arrival with its gap kept, not its absolute time:
-  // it arrives as long after now as it was due after the last submitted
-  // record (or, if none of this span was submitted, after the instant the
-  // span was fed), and the rest of the span keeps its gaps behind it. So a
-  // pause never releases a burst of overdue arrivals.
+  // it arrives as long after now as it was due after the last record that
+  // arrived, submitted or rejected (or, if none of this span has, after the
+  // instant the span was fed), and the rest of the span keeps its gaps
+  // behind it. So a pause never releases a burst of overdue arrivals.
   void Resume();
 
   // Stop submitting (fleet mgmt "destroy"): cancels the pending arrival and
@@ -65,6 +67,7 @@ class TraceReplayer {
 
   uint64_t submitted() const { return submitted_; }
   uint64_t dropped() const { return dropped_; }
+  uint64_t rejected() const { return rejected_; }
   int64_t submitted_read_bytes() const { return submitted_read_bytes_; }
   int64_t submitted_write_bytes() const { return submitted_write_bytes_; }
 
@@ -74,6 +77,7 @@ class TraceReplayer {
 
   Simulator* sim_;
   HostDriver* driver_;
+  int64_t capacity_bytes_;  // The array's, read once.
   const TraceRecord* begin_ = nullptr;  // The fed span: [begin_, end_),
   const TraceRecord* next_ = nullptr;   // next_ the first unsubmitted record.
   const TraceRecord* end_ = nullptr;
@@ -86,6 +90,7 @@ class TraceReplayer {
   bool destroyed_ = false;
   uint64_t submitted_ = 0;
   uint64_t dropped_ = 0;
+  uint64_t rejected_ = 0;
   int64_t submitted_read_bytes_ = 0;
   int64_t submitted_write_bytes_ = 0;
 };

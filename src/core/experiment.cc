@@ -168,6 +168,7 @@ SimReport Experiment::Run() {
     metrics->Snapshot(sim.Now());
   }
   stream_stats_.records = replayer.submitted();
+  stream_stats_.rejected = replayer.rejected();
   assert(driver.Drained());
 
   SimReport rep;

@@ -48,13 +48,14 @@ struct ObserveOptions {
   SimDuration metrics_interval = Milliseconds(100);
 };
 
-// Accounting from a replay. Every run fills records; chunks and
+// Accounting from a replay. Every run fills records and rejected; chunks and
 // peak_buffer_bytes describe the file reader and stay 0 for Trace() and
 // Workload(). The reader's peak depends on the chunk size, not on trace
 // length.
 struct StreamStats {
   int64_t chunks = 0;           // Non-empty file chunks read and replayed.
   uint64_t records = 0;         // Trace records replayed.
+  uint64_t rejected = 0;        // Records past the array's capacity, skipped.
   size_t peak_buffer_bytes = 0; // High-water mark of the reader's buffers.
 };
 
