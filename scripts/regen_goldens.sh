@@ -14,7 +14,8 @@
 #   * BENCH_engine.json -- the micro-benchmark baseline the CI bench gate
 #     compares hot-path timings to (loose factor, Release build);
 #   * BENCH_rebuild.json -- the declustering rebuild comparison (window,
-#     client p99 during rebuild, MTTDL) CI checks for layout ordering.
+#     client p99 during rebuild, MTTDL); CI diffs a default run against it
+#     byte for byte and checks the layout ordering.
 #
 # Run from anywhere inside the repo after a change that intentionally moves
 # pinned output, then review the diff before committing:

@@ -90,14 +90,6 @@ class DeclusteredLayout final : public ArrayLayout {
   double declustering_ratio() const {
     return static_cast<double>(stripe_width() - 1) / (num_disks() - 1);
   }
-  // Bytes of compiled placement tables.
-  size_t TableBytes() const {
-    return (member_disk_.size() + member_slot_.size() + u_to_t_.size() +
-            anchor_pos_u_.size()) *
-               sizeof(int32_t) +
-           uses_.size();
-  }
-
   // Default stripe width for C disks: about half the array, clamped so a
   // stripe keeps at least two data blocks and stays narrower than the array.
   static int32_t AutoWidth(int32_t num_disks, int32_t parity_blocks);

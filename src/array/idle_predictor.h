@@ -69,7 +69,6 @@ class IdlePredictor {
   }
 
   uint64_t Observations() const { return observations_; }
-  double MeanIdleNs() const { return mean_; }
 
  private:
   static constexpr uint64_t kMinObservations = 4;

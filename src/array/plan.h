@@ -56,13 +56,6 @@ class RequestPlan {
   void Compile(const TraceRecord* records, size_t count,
                const ArrayLayout& layout);
 
-  // Resident bytes of the flat arrays (capacity, not size).
-  size_t MemoryBytes() const {
-    return records_.capacity() * sizeof(PlanRecord) +
-           segments_.capacity() * sizeof(Segment) +
-           scratch_.capacity() * sizeof(Segment);
-  }
-
   size_t size() const { return records_.size(); }
   bool empty() const { return records_.empty(); }
   const PlanRecord& record(size_t i) const { return records_[i]; }

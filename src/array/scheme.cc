@@ -224,4 +224,70 @@ void ArrayScheme::StripeReconstructed(int64_t stripe) {
   ReconstructNextStripe(stripe + 1);
 }
 
+// --- The degraded read --------------------------------------------------------
+
+void ArrayScheme::ReadSegment(const Segment& seg, JoinBlock* join) {
+  const BlockLoc dl = layout_->DataLocation(seg.stripe, seg.block_in_stripe);
+  if (DiskUnavailable(dl.disk, seg.stripe)) {
+    DegradedReadSegment(seg, join);
+    return;
+  }
+  IssueDiskOp(dl.disk, dl.byte_offset + seg.offset_in_block, seg.length,
+              /*is_write=*/false, DiskOpPurpose::kClientRead,
+              [this, seg, join](bool ok) {
+                if (ok) {
+                  join->Dec(true);
+                } else {
+                  DegradedReadSegment(seg, join);  // The disk died under it.
+                }
+              });
+}
+
+void ArrayScheme::DegradedReadSegment(const Segment& seg, JoinBlock* parent) {
+  locks_.Acquire(seg.stripe, LockMode::kExclusive, [this, seg, parent] {
+    const int64_t stripe = seg.stripe;
+    const BlockLoc target = layout_->DataLocation(stripe, seg.block_in_stripe);
+    if (!DiskUnavailable(target.disk, stripe)) {
+      // The sweep restored the block while we waited on the lock: read it
+      // from the replacement (read redirection).
+      IssueDiskOp(target.disk, target.byte_offset + seg.offset_in_block, seg.length,
+                  /*is_write=*/false, DiskOpPurpose::kClientRead,
+                  [this, seg, parent](bool ok) {
+                    locks_.Release(seg.stripe, LockMode::kExclusive);
+                    if (ok) {
+                      parent->Dec(true);
+                    } else {
+                      DegradedReadSegment(seg, parent);
+                    }
+                  });
+      return;
+    }
+    // No other disk can fail while this one is out, so the n-1 surviving
+    // data blocks and parity 0 always read back.
+    const int32_t n = layout_->data_blocks_per_stripe();
+    JoinBlock* join = joins_.Make(n, [this, seg, parent](bool) {
+      if (RangeStale(seg.stripe, seg.offset_in_block, seg.length)) {
+        // The parity was stale when the disk died: the rebuilt bytes are not
+        // what the client wrote (Section 3.2).
+        RecordLoss(LossCause::kStaleParityDegradedRead, seg.stripe, seg.length);
+      }
+      locks_.Release(seg.stripe, LockMode::kExclusive);
+      parent->Dec(true);
+    });
+    for (int32_t j = 0; j < n; ++j) {
+      if (j == seg.block_in_stripe) {
+        continue;
+      }
+      const BlockLoc dl = layout_->DataLocation(stripe, j);
+      IssueDiskOp(dl.disk, dl.byte_offset + seg.offset_in_block, seg.length,
+                  /*is_write=*/false, DiskOpPurpose::kReconstructRead,
+                  [join](bool) { join->Dec(true); });
+    }
+    const BlockLoc pl = layout_->ParityLocation(stripe);
+    IssueDiskOp(pl.disk, pl.byte_offset + seg.offset_in_block, seg.length,
+                /*is_write=*/false, DiskOpPurpose::kReconstructRead,
+                [join](bool) { join->Dec(true); });
+  });
+}
+
 }  // namespace afraid

@@ -18,10 +18,12 @@
 // (StartReconstruction) -> healthy state machine. The sweep walks the
 // replaced disk's stripes in ascending order behind a frontier: stripes
 // below it hold valid data on the replacement, at or above it the disk is
-// unavailable (DiskUnavailable). A concrete scheme keeps its client paths,
-// its degraded reads and writes, its background work and one per-stripe
-// reconstruct step (ReconstructStripe); ColumnOnDisk and
-// OnReconstructionDone are its other two hooks.
+// unavailable (DiskUnavailable). The engine also owns the one degraded read
+// (ReadSegment, DegradedReadSegment): a block on an unavailable disk is
+// rebuilt through parity 0, and a read its disk dropped is served again. A
+// concrete scheme keeps its client paths, its degraded writes, its
+// background work and one per-stripe reconstruct step (ReconstructStripe);
+// ColumnOnDisk, OnReconstructionDone and RangeStale are its other hooks.
 //
 // Management calls return bool rather than asserting: `false` means the
 // operation is refused in the current state (disk index out of range, no
@@ -211,6 +213,14 @@ class ArrayScheme : public ArrayController {
   virtual int32_t ColumnOnDisk(int64_t stripe, int32_t disk) const;
   // Runs after the sweep's `done` callback (deferred work may resume).
   virtual void OnReconstructionDone() {}
+  // True when the parity covering [offset_in_block, offset_in_block + length)
+  // of every data block in `stripe` is stale, so a block rebuilt through it
+  // is not what the client wrote. Asked by DegradedReadSegment with the
+  // stripe locked exclusively. The default (parity always live) is false.
+  virtual bool RangeStale(int64_t /*stripe*/, int32_t /*offset_in_block*/,
+                          int32_t /*length*/) const {
+    return false;
+  }
 
   // --- Services ---------------------------------------------------------------
   // Submits one disk op and counts it under `purpose`; `done(ok)` fires at
@@ -223,6 +233,16 @@ class ArrayScheme : public ArrayController {
   // Ends a sweep step: advances the frontier past `stripe`, releases its
   // lock and moves on to the next stripe.
   void StripeReconstructed(int64_t stripe);
+  // Reads one client segment from its data disk, or degraded when that disk
+  // is unavailable; a read whose disk op fails (the disk died under it) is
+  // re-run degraded. Runs `join->Dec(true)` once the segment is served.
+  void ReadSegment(const Segment& seg, JoinBlock* join);
+  // The degraded read: takes the stripe exclusively, then reads the block
+  // from the replacement if the sweep restored it during the lock wait, or
+  // else rebuilds it from the other n-1 data blocks and parity 0, billing
+  // kStaleParityDegradedRead when RangeStale. Releases the lock and runs
+  // `parent->Dec(true)`.
+  void DegradedReadSegment(const Segment& seg, JoinBlock* parent);
   // True when `disk` cannot serve valid data for `stripe` right now: it is
   // the failed disk, or the replacement and the sweep has not reached
   // `stripe` yet.

@@ -183,7 +183,7 @@ bool AfraidController::AnyBandDirty(int64_t stripe) const {
   return false;
 }
 
-bool AfraidController::RangeDirty(int64_t stripe, int32_t offset_in_block,
+bool AfraidController::RangeStale(int64_t stripe, int32_t offset_in_block,
                                   int32_t length) const {
   const auto [first, last] = BandsOfRange(offset_in_block, length);
   for (int32_t b = first; b <= last; ++b) {
@@ -268,37 +268,6 @@ void AfraidController::DoRead(const ClientRequest& r, RequestDone done) {
                   }
                 });
   }
-}
-
-void AfraidController::DegradedReadSegment(const Segment& seg, JoinBlock* parent) {
-  const int64_t stripe = seg.stripe;
-  locks_.Acquire(stripe, LockMode::kExclusive, [this, seg, stripe, parent] {
-    const int32_t n = layout_->data_blocks_per_stripe();
-    auto finish = [this, seg, stripe, parent](bool) {
-      if (RangeDirty(stripe, seg.offset_in_block, seg.length)) {
-        // Parity was stale for this band when the disk died: the
-        // reconstructed bytes are not the data the client wrote. Record the
-        // loss (Section 3.2).
-        RecordLoss(LossCause::kStaleParityDegradedRead, stripe, seg.length);
-      }
-      locks_.Release(stripe, LockMode::kExclusive);
-      parent->Dec(true);
-    };
-    JoinBlock* join = joins_.Make(n, finish);  // n-1 data reads + parity.
-    for (int32_t j = 0; j < n; ++j) {
-      if (j == seg.block_in_stripe) {
-        continue;
-      }
-      const BlockLoc dl = layout_->DataLocation(stripe, j);
-      const int64_t off = dl.byte_offset + seg.offset_in_block;
-      IssueDiskOp(dl.disk, off, seg.length, /*is_write=*/false,
-                  DiskOpPurpose::kReconstructRead, [join](bool ok) { join->Dec(ok); });
-    }
-    const BlockLoc pl = layout_->ParityLocation(stripe);
-    const int64_t poff = pl.byte_offset + seg.offset_in_block;
-    IssueDiskOp(pl.disk, poff, seg.length, /*is_write=*/false,
-                DiskOpPurpose::kReconstructRead, [join](bool ok) { join->Dec(ok); });
-  });
 }
 
 // --- Writes ---------------------------------------------------------------------
@@ -467,7 +436,7 @@ void AfraidController::Raid5WriteGroup(uint64_t request_id, int64_t stripe,
     // parity validity is exactly what sub-stripe marking buys).
     bool dirty = false;
     for (const Segment& seg : segs) {
-      if (RangeDirty(stripe, seg.offset_in_block, seg.length)) {
+      if (RangeStale(stripe, seg.offset_in_block, seg.length)) {
         dirty = true;
         break;
       }

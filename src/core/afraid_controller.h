@@ -23,10 +23,11 @@
 // order (adjacent dirty stripes coalesce into near-sequential disk access),
 // one stripe at a time, preemptable between stripes.
 //
-// Failure machinery: degraded reads/writes and the per-stripe reconstruct
-// step over ArrayScheme's shared fail/replace/sweep engine, NVRAM
-// marking-memory loss with the conservative whole-array parity scrub, and
-// host-requested paritypoints (Section 5).
+// Failure machinery: degraded writes and the per-stripe reconstruct step
+// over ArrayScheme's shared fail/replace/sweep engine and its degraded read
+// (RangeStale answers from the NVRAM bands), NVRAM marking-memory loss with
+// the conservative whole-array parity scrub, and host-requested
+// paritypoints (Section 5).
 
 #ifndef AFRAID_CORE_AFRAID_CONTROLLER_H_
 #define AFRAID_CORE_AFRAID_CONTROLLER_H_
@@ -105,7 +106,6 @@ class AfraidController : public ArrayScheme {
   // --- Introspection -----------------------------------------------------------
   const NvramBitmap& nvram() const { return nvram_; }
   bool RebuildInProgress() const { return rebuilding_; }
-  bool ScrubInProgress() const { return scrub_active_; }
 
   // Parity-lag accounting (Section 3.2). Mean over [start, now].
   double MeanParityLagBytes() const { return unprot_bytes_.MeanTo(sim_->Now()); }
@@ -122,9 +122,6 @@ class AfraidController : public ArrayScheme {
   const IdlePredictor& idle_predictor() const { return idle_predictor_; }
   uint64_t AfraidModeStripeWrites() const { return afraid_mode_writes_; }
   uint64_t Raid5ModeStripeWrites() const { return raid5_mode_writes_; }
-  // True if the most recent stripe-write group took the RAID 5 path (the
-  // "current mode" gauge the metrics snapshots sample).
-  bool LastWriteModeRaid5() const { return last_write_raid5_; }
   int64_t MaxDirtyStripes() const { return max_dirty_; }
   uint64_t CacheHits() const { return read_cache_.Hits() + staging_.Hits(); }
   const ParityPolicy& policy() const { return *policy_; }
@@ -158,8 +155,6 @@ class AfraidController : public ArrayScheme {
                         JoinBlock* fin);
   void ReadModifyWrite(uint64_t request_id, int64_t stripe, Span<Segment> segs,
                        JoinBlock* fin);
-  // Runs `parent->Dec(true)` when the reconstruction completes.
-  void DegradedReadSegment(const Segment& seg, JoinBlock* parent);
   // Post-completion bookkeeping of one data-segment write (caches, content).
   void ApplyDataWrite(uint64_t request_id, const Segment& seg);
 
@@ -195,7 +190,9 @@ class AfraidController : public ArrayScheme {
   void ClearBandKey(int64_t key);
   void ClearAllBands(int64_t stripe);
   bool AnyBandDirty(int64_t stripe) const;
-  bool RangeDirty(int64_t stripe, int32_t offset_in_block, int32_t length) const;
+  // Any NVRAM band under the range dirty (degraded reads and RAID 5 writes).
+  bool RangeStale(int64_t stripe, int32_t offset_in_block,
+                  int32_t length) const override;
   void NoteClientStart();
   void NoteClientEnd();
   bool ArrayBusy() const { return outstanding_clients_ > 0; }

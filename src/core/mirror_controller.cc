@@ -71,19 +71,29 @@ void MirrorController::DoRead(const ClientRequest& r, RequestDone done) {
   const Span<Segment> segs = SegmentsOf(r);
   JoinBlock* join = joins_.Make(
       segs.count, [done = std::move(done)](bool) mutable { done(); });
-  const int32_t sector = sector_bytes_;
   for (const Segment& seg : segs) {
-    const int32_t col = layout_->DataDisk(seg.stripe, seg.block_in_stripe);
-    const int32_t primary = 2 * col;
-    const int64_t off = seg.stripe * layout_->stripe_unit() + seg.offset_in_block;
-    DiskOp op;
-    op.lba = off / sector;
-    op.sectors = seg.length / sector;
-    op.is_write = false;
-    IssueDiskOp(ChooseReplica(seg.stripe, primary, op), off, seg.length,
-                /*is_write=*/false, DiskOpPurpose::kClientRead,
-                [join](bool) { join->Dec(true); });
+    ReadReplica(seg, join);
   }
+}
+
+void MirrorController::ReadReplica(const Segment& seg, JoinBlock* join) {
+  const int32_t primary = 2 * layout_->DataDisk(seg.stripe, seg.block_in_stripe);
+  const int64_t off = seg.stripe * layout_->stripe_unit() + seg.offset_in_block;
+  DiskOp op;
+  op.lba = off / sector_bytes_;
+  op.sectors = seg.length / sector_bytes_;
+  op.is_write = false;
+  IssueDiskOp(ChooseReplica(seg.stripe, primary, op), off, seg.length,
+              /*is_write=*/false, DiskOpPurpose::kClientRead,
+              [this, seg, join](bool ok) {
+                if (ok) {
+                  join->Dec(true);
+                } else {
+                  // The disk died under the read; ChooseReplica now picks
+                  // the surviving twin.
+                  ReadReplica(seg, join);
+                }
+              });
 }
 
 void MirrorController::DoWrite(const ClientRequest& r, RequestDone done) {

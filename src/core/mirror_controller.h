@@ -12,11 +12,11 @@
 // the lower disk id as the deterministic tie-break.
 //
 // Failure machinery (over ArrayScheme's shared fail/replace/sweep engine):
-// with a disk out, reads simply fall to the surviving twin and writes update
-// it alone, so degraded service is lossless and there is no exposure window
-// at all. The per-stripe reconstruct step copies twin -> replacement, after
-// which the pair is redundant again. Exposure statistics are identically
-// zero.
+// with a disk out, reads simply fall to the surviving twin (a read the dying
+// disk dropped is re-issued there) and writes update it alone, so degraded
+// service is lossless and there is no exposure window at all. The
+// per-stripe reconstruct step copies twin -> replacement, after which the
+// pair is redundant again. Exposure statistics are identically zero.
 
 #ifndef AFRAID_CORE_MIRROR_CONTROLLER_H_
 #define AFRAID_CORE_MIRROR_CONTROLLER_H_
@@ -56,6 +56,9 @@ class MirrorController : public ArrayScheme {
 
  private:
   void DoRead(const ClientRequest& r, RequestDone done);
+  // Reads one segment from the replica ChooseReplica picks; a read whose
+  // disk op fails is re-issued, which lands on the surviving twin.
+  void ReadReplica(const Segment& seg, JoinBlock* join);
   void DoWrite(const ClientRequest& r, RequestDone done);
   void WriteSegment(uint64_t request_id, const Segment& seg, JoinBlock* join);
   void ReconstructStripe(int64_t stripe, int32_t column) override;

@@ -60,54 +60,8 @@ void ParityLogController::DoRead(const ClientRequest& r, RequestDone done) {
   JoinBlock* join = joins_.Make(
       segs.count, [done = std::move(done)](bool) mutable { done(); });
   for (const Segment& seg : segs) {
-    const BlockLoc dl = layout_->DataLocation(seg.stripe, seg.block_in_stripe);
-    if (DiskUnavailable(dl.disk, seg.stripe)) {
-      DegradedReadSegment(seg, join);
-      continue;
-    }
-    IssueDiskOp(dl.disk, dl.byte_offset + seg.offset_in_block, seg.length,
-                /*is_write=*/false, DiskOpPurpose::kClientRead,
-                [join](bool) { join->Dec(true); });
+    ReadSegment(seg, join);
   }
-}
-
-void ParityLogController::DegradedReadSegment(const Segment& seg, JoinBlock* parent) {
-  locks_.Acquire(seg.stripe, LockMode::kExclusive, [this, seg, parent] {
-    const int64_t stripe = seg.stripe;
-    const BlockLoc tl = layout_->DataLocation(stripe, seg.block_in_stripe);
-    if (!DiskUnavailable(tl.disk, stripe)) {
-      // The reconstruction sweep passed this stripe while we waited on the
-      // lock: plain read.
-      IssueDiskOp(tl.disk, tl.byte_offset + seg.offset_in_block, seg.length,
-                  /*is_write=*/false, DiskOpPurpose::kClientRead,
-                  [this, stripe, parent](bool) {
-                    locks_.Release(stripe, LockMode::kExclusive);
-                    parent->Dec(true);
-                  });
-      return;
-    }
-    // n-1 surviving data blocks plus the parity block. The pending images
-    // (NVRAM + log, both durable) make the parity information live, so the
-    // reconstructed bytes are exactly the client's data: no loss mode here.
-    const int32_t n = layout_->data_blocks_per_stripe();
-    JoinBlock* join = joins_.Make(n, [this, stripe, parent](bool) {
-      locks_.Release(stripe, LockMode::kExclusive);
-      parent->Dec(true);
-    });
-    for (int32_t j = 0; j < n; ++j) {
-      if (j == seg.block_in_stripe) {
-        continue;
-      }
-      const BlockLoc dl = layout_->DataLocation(stripe, j);
-      IssueDiskOp(dl.disk, dl.byte_offset + seg.offset_in_block, seg.length,
-                  /*is_write=*/false, DiskOpPurpose::kReconstructRead,
-                  [join](bool) { join->Dec(true); });
-    }
-    const BlockLoc pl = layout_->ParityLocation(stripe);
-    IssueDiskOp(pl.disk, pl.byte_offset + seg.offset_in_block, seg.length,
-                /*is_write=*/false, DiskOpPurpose::kReconstructRead,
-                [join](bool) { join->Dec(true); });
-  });
 }
 
 void ParityLogController::DoWrite(const ClientRequest& r, RequestDone done) {

@@ -29,7 +29,8 @@
 // Failure machinery (over ArrayScheme's shared fail/replace/sweep engine):
 // because every parity-update image is durable (NVRAM first, then the
 // on-disk log), the stripe's parity information is recoverable at all times
-// -- degraded reads and the replacement-disk reconstruction sweep are
+// -- reads go through the engine's degraded read with the default
+// RangeStale (never stale), the replacement-disk reconstruction sweep is
 // lossless, and the content model tracks the post-replay parity directly. A
 // write whose data disk is out exists only as its image until the sweep
 // restores the block; log flushes and replay parity updates simply skip the
@@ -105,9 +106,6 @@ class ParityLogController : public ArrayScheme {
   void DoRead(const ClientRequest& r, RequestDone done);
   void DoWrite(const ClientRequest& r, RequestDone done);
   void WriteSegment(uint64_t request_id, const Segment& seg, JoinBlock* join);
-  // Degraded path: the segment's block is rebuilt from the survivors and the
-  // parity (lossless; the pending images make parity always recoverable).
-  void DegradedReadSegment(const Segment& seg, JoinBlock* parent);
   void ReconstructStripe(int64_t stripe, int32_t column) override;
   // Content bookkeeping for one committed write segment: data tags plus the
   // always-recoverable parity over the touched range.

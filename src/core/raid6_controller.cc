@@ -148,62 +148,16 @@ void Raid6Controller::DoRead(const ClientRequest& r, RequestDone done) {
         NoteClientEnd();
       });
   for (const Segment& seg : segs) {
-    const BlockLoc dl = layout_->DataLocation(seg.stripe, seg.block_in_stripe);
-    if (DiskUnavailable(dl.disk, seg.stripe)) {
-      DegradedReadSegment(seg, join);
-      continue;
-    }
-    IssueDiskOp(dl.disk, dl.byte_offset + seg.offset_in_block, seg.length,
-                /*is_write=*/false, DiskOpPurpose::kClientRead,
-                [join](bool) { join->Dec(true); });
+    ReadSegment(seg, join);
   }
 }
 
-void Raid6Controller::DegradedReadSegment(const Segment& seg, JoinBlock* parent) {
-  locks_.Acquire(seg.stripe, LockMode::kExclusive, [this, seg, parent] {
-    const int64_t stripe = seg.stripe;
-    const BlockLoc target = layout_->DataLocation(stripe, seg.block_in_stripe);
-    if (!DiskUnavailable(target.disk, stripe)) {
-      // The reconstruction sweep passed this stripe while we waited on the
-      // lock: the block is valid again, plain read.
-      IssueDiskOp(target.disk, target.byte_offset + seg.offset_in_block, seg.length,
-                  /*is_write=*/false, DiskOpPurpose::kClientRead,
-                  [this, stripe, parent](bool) {
-                    locks_.Release(stripe, LockMode::kExclusive);
-                    parent->Dec(true);
-                  });
-      return;
-    }
-    const int32_t n = layout_->data_blocks_per_stripe();
-    const bool p_fresh = !p_stale_.IsDirty(stripe);
-    const bool q_fresh = !q_stale_.IsDirty(stripe);
-    // Reconstruct through P. Q is stale wherever P is (q_stale_ is a superset
-    // of p_stale_), so P is stale only with both stale: then the bytes
-    // returned are not what the client wrote, and P is still read to model
-    // the attempt's traffic.
-    assert(p_fresh || !q_fresh);
-    auto finish = [this, seg, stripe, p_fresh, q_fresh, parent](bool) {
-      if (!p_fresh && !q_fresh) {
-        RecordLoss(LossCause::kStaleParityDegradedRead, stripe, seg.length);
-      }
-      locks_.Release(stripe, LockMode::kExclusive);
-      parent->Dec(true);
-    };
-    JoinBlock* join = joins_.Make(n, finish);  // n-1 data reads + parity.
-    for (int32_t j = 0; j < n; ++j) {
-      if (j == seg.block_in_stripe) {
-        continue;
-      }
-      const BlockLoc dl = layout_->DataLocation(stripe, j);
-      IssueDiskOp(dl.disk, dl.byte_offset + seg.offset_in_block, seg.length,
-                  /*is_write=*/false, DiskOpPurpose::kReconstructRead,
-                  [join](bool) { join->Dec(true); });
-    }
-    const BlockLoc pl = layout_->ParityLocation(stripe, 0);
-    IssueDiskOp(pl.disk, pl.byte_offset + seg.offset_in_block, seg.length,
-                /*is_write=*/false, DiskOpPurpose::kReconstructRead,
-                [join](bool) { join->Dec(true); });
-  });
+bool Raid6Controller::RangeStale(int64_t stripe, int32_t /*offset_in_block*/,
+                                 int32_t /*length*/) const {
+  // Degraded reads rebuild through P. Q is stale wherever P is (q_stale_ is a
+  // superset of p_stale_), so a stale P leaves no live parity at all.
+  assert(!p_stale_.IsDirty(stripe) || q_stale_.IsDirty(stripe));
+  return p_stale_.IsDirty(stripe);
 }
 
 void Raid6Controller::DoWrite(const ClientRequest& r, RequestDone done) {

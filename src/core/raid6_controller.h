@@ -20,14 +20,16 @@
 // two NVRAM bitmaps (2 bits per stripe, vs AFRAID's 1).
 //
 // Failure machinery (over ArrayScheme's shared fail/replace/sweep engine):
-// degraded reads (reconstruct through P), degraded writes that switch to
-// synchronous full-stripe parity recompute, and a per-stripe reconstruct
-// step that recomputes a lost data block from P and the surviving data, or a
-// lost parity from the data. Every stripe with stale P also has stale Q (a write
+// reads go through the engine's degraded read, which rebuilds through P and
+// asks RangeStale (P's stale bit); degraded writes switch to synchronous
+// full-stripe parity recompute; and a per-stripe reconstruct step
+// recomputes a lost data block from P and the surviving data, or a lost
+// parity from the data. Every stripe with stale P also has stale Q (a write
 // marks Q alone or both, and Q goes fresh only once P is), so P is never
 // stale while Q is live. A stripe whose P *and* Q were both stale when the
 // disk died is unrecoverable; the machinery charges a LossEvent exactly as
-// the AFRAID controller does.
+// the AFRAID controller does. Every stale mark changes under the stripe's
+// exclusive lock, so a degraded read sees the marks its lock grant saw.
 
 #ifndef AFRAID_CORE_RAID6_CONTROLLER_H_
 #define AFRAID_CORE_RAID6_CONTROLLER_H_
@@ -78,8 +80,7 @@ class Raid6Controller : public ArrayScheme {
   int64_t StaleP() const { return p_stale_.DirtyCount(); }
   int64_t StaleQ() const { return q_stale_.DirtyCount(); }
   uint64_t StripesRebuilt() const { return stripes_rebuilt_; }
-  // Time-average bytes covered by fewer than 2 / fewer than 1 parities.
-  double MeanSingleExposedBytes() const { return q_only_stale_.MeanTo(sim_->Now()); }
+  // Time-average bytes covered by no live parity.
   double MeanFullyExposedBytes() const { return both_stale_.MeanTo(sim_->Now()); }
   double TQStaleFraction() const { return q_only_stale_.PositiveFractionTo(sim_->Now()); }
   double TBothStaleFraction() const { return both_stale_.PositiveFractionTo(sim_->Now()); }
@@ -92,9 +93,9 @@ class Raid6Controller : public ArrayScheme {
   void DoWrite(const ClientRequest& r, RequestDone done);
   void WriteStripeGroup(uint64_t request_id, int64_t stripe, Span<Segment> segs,
                         JoinBlock* group_join);
-  // Degraded path: reconstructs one read segment from the surviving blocks
-  // and P; runs `parent->Dec(true)` on completion.
-  void DegradedReadSegment(const Segment& seg, JoinBlock* parent);
+  // A block rebuilt through P is lost when P (and so Q) is stale.
+  bool RangeStale(int64_t stripe, int32_t offset_in_block,
+                  int32_t length) const override;
   // Degraded write: synchronous full-stripe P+Q recompute around the
   // unavailable disk (the RAID 6 analogue of AFRAID's forced RAID 5 mode).
   void DegradedWriteStripe(uint64_t request_id, int64_t stripe,

@@ -83,10 +83,12 @@ LifetimeResult RunLifetime(const CampaignConfig& config, int32_t index,
     }
     // Sample the stationary exposure process at a fresh random instant.
     exposure->Advance(sample_gap());
-    if (exposure->DirtyBands() == 0) {
-      // Every stripe has fresh parity: reconstruction provably loses
+    if (exposure->CurrentParityLagBytes() == 0.0) {
+      // No byte lacks live redundancy: reconstruction provably loses
       // nothing, so skip the (expensive) drill. This is the common case for
-      // AFRAID after a long idle period.
+      // AFRAID after a long idle period, and always so for the parity log
+      // (its staged images keep parity live) and deferred-Q RAID 6 (P is
+      // never stale).
       return;
     }
     ++res.drills;

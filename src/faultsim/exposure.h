@@ -84,8 +84,10 @@ class ExposureModel {
   // workload's long idle periods would sample an artificially empty array).
   uint64_t RequestsCompleted() const { return driver_->Completed(); }
 
-  // Current exposure state (the screening the campaign uses to skip drills
-  // that provably cannot lose data).
+  // Current exposure state. The campaign skips a drill when the parity lag
+  // is zero: no byte lacks live redundancy, so it provably cannot lose data.
+  // Dirty marks can be nonzero then (the parity log's staged images,
+  // deferred-Q RAID 6's stale Q).
   int64_t DirtyBands() const { return controller_->State().dirty_marks; }
   double CurrentParityLagBytes() const {
     return controller_->State().parity_lag_bytes;

@@ -34,9 +34,6 @@ class Probe {
   Tracer* tracer() const { return tracer_; }
   int32_t track() const { return track_; }
 
-  // A probe on the same tracer with a different default track.
-  Probe WithTrack(int32_t track) const { return Probe(tracer_, track); }
-
   // Registers a named track; returns a probe bound to it. On a null probe
   // this is a no-op returning another null probe, so components can
   // unconditionally set up their tracks.

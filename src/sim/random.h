@@ -70,11 +70,6 @@ class Rng {
     return v;
   }
 
-  // Lognormal parameterized by the mean and sigma of the underlying normal.
-  double Lognormal(double mu, double sigma) {
-    return std::lognormal_distribution<double>(mu, sigma)(engine_);
-  }
-
   // Normal (Gaussian).
   double Normal(double mean, double stddev) {
     return std::normal_distribution<double>(mean, stddev)(engine_);
