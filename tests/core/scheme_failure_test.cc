@@ -3,11 +3,12 @@
 // disk, serve degraded reads and writes, replace the disk, run the
 // reconstruction sweep with no concurrent traffic, and check every
 // reconstructed sector against the functional ContentModel. Also pins the
-// shared failure engine's contract: its refusal rules, the trace events and
-// per-purpose op counts every scheme gets from it, and its one degraded
-// read (reads a dying disk dropped are served again; a read queued behind
-// the sweep reads the replacement). A scheme added to the registry is
-// picked up automatically.
+// shared client front end (a multi-stripe write lands every sector once)
+// and the shared failure engine's contract: its refusal rules, the trace
+// events and per-purpose op counts every scheme gets from it, and its one
+// degraded read (reads a dying disk dropped are served again; a read queued
+// behind the sweep reads the replacement). A scheme added to the registry
+// is picked up automatically.
 
 #include <gtest/gtest.h>
 
@@ -170,6 +171,62 @@ TEST_P(SchemeFailureTest, FailDegradedRepairReconstructRoundTrip) {
     if (scheme_ == "mirror") {
       // Parity slot j holds the twin copy of data block j.
       for (int32_t j = 0; j < ctl_->layout().data_blocks_per_stripe(); ++j) {
+        for (int32_t s = 0; s < cm->sectors_per_unit(); ++s) {
+          EXPECT_EQ(cm->GetParity(stripe, s, j), cm->GetData(stripe, j, s))
+              << "stripe " << stripe;
+        }
+      }
+    } else {
+      EXPECT_TRUE(cm->StripeConsistent(stripe)) << "stripe " << stripe;
+    }
+  }
+}
+
+// The shared client front end: a write that starts mid-block and spans
+// several stripes splits into multi-segment groups, partial blocks at both
+// ends; every sector lands with its tag and both requests complete once.
+TEST_P(SchemeFailureTest, MultiStripeWriteLandsEverySectorOnce) {
+  Build();
+  const ArrayLayout& lay = ctl_->layout();
+  const int32_t n = lay.data_blocks_per_stripe();
+  const int32_t sector = cfg_.disk_spec.sector_bytes;
+  ClientRequest write;
+  write.id = 7;
+  write.offset = 3 * sector;
+  write.size = static_cast<int32_t>(5 * n * kBlock / 2);  // 2.5 stripes.
+  write.is_write = true;
+  int writes_done = 0;
+  ctl_->Submit(write, [&writes_done] { ++writes_done; });
+  sim_.RunToEnd();
+  EXPECT_EQ(writes_done, 1);
+
+  ClientRequest read = write;
+  read.id = 8;
+  read.is_write = false;
+  int reads_done = 0;
+  ctl_->Submit(read, [&reads_done] { ++reads_done; });
+  sim_.RunToEnd();
+  EXPECT_EQ(reads_done, 1);
+
+  const ContentModel* cm = ctl_->content();
+  ASSERT_NE(cm, nullptr);
+  std::vector<int64_t> touched;
+  const int64_t end = (write.offset + write.size) / sector;
+  for (int64_t l = write.offset / sector; l < end; ++l) {
+    const int64_t block_index = l * sector / kBlock;
+    const int64_t stripe = block_index / n;
+    const auto j = static_cast<int32_t>(block_index % n);
+    const auto s = static_cast<int32_t>(l * sector % kBlock / sector);
+    EXPECT_EQ(cm->GetData(stripe, j, s), ContentModel::MixTag(write.id, l))
+        << GetParam() << ": logical sector " << l;
+    if (touched.empty() || touched.back() != stripe) {
+      touched.push_back(stripe);
+    }
+  }
+  EXPECT_EQ(touched.size(), 3u);
+  for (int64_t stripe : touched) {
+    if (scheme_ == "mirror") {
+      for (int32_t j = 0; j < n; ++j) {
         for (int32_t s = 0; s < cm->sectors_per_unit(); ++s) {
           EXPECT_EQ(cm->GetParity(stripe, s, j), cm->GetData(stripe, j, s))
               << "stripe " << stripe;
