@@ -12,18 +12,25 @@
 //
 // The class also implements everything the organizations share, once: it
 // builds the disks from one compiled DiskMechanics; owns the layout, the
-// stripe locks, the join pool and the optional content model; issues every
-// disk op (per-purpose counts, per-disk probe spans); and runs the
-// healthy -> failed (FailDisk) -> recovering (ReplaceDisk) -> sweeping
+// stripe locks, the join and segment pools and the optional content model;
+// issues every disk op (per-purpose counts, per-disk probe spans); and runs
+// the healthy -> failed (FailDisk) -> recovering (ReplaceDisk) -> sweeping
 // (StartReconstruction) -> healthy state machine. The sweep walks the
 // replaced disk's stripes in ascending order behind a frontier: stripes
 // below it hold valid data on the replacement, at or above it the disk is
-// unavailable (DiskUnavailable). The engine also owns the one degraded read
-// (ReadSegment, DegradedReadSegment): a block on an unavailable disk is
-// rebuilt through parity 0, and a read its disk dropped is served again. A
-// concrete scheme keeps its client paths, its degraded writes, its
-// background work and one per-stripe reconstruct step (ReconstructStripe);
-// ColumnOnDisk, OnReconstructionDone and RangeStale are its other hooks.
+// unavailable (DiskUnavailable).
+//
+// The engine is also the one client front end (Submit): it counts client
+// requests in and out (driving an optional idle detector, DetectIdle),
+// splits each request once, reads each segment (ReadSegment; by default the
+// data disk, or the one degraded read, DegradedReadSegment, which rebuilds a
+// block on an unavailable disk through parity 0 and serves again a read its
+// disk dropped) and hands a write to the scheme one stripe group at a time
+// (WriteStripe). A concrete scheme keeps what tells it apart: how a write
+// updates redundancy, its degraded writes, its background work and one
+// per-stripe reconstruct step (ReconstructStripe); ColumnOnDisk,
+// OnReconstructionDone, RangeStale and OnClientStart/OnClientEnd are its
+// other hooks.
 //
 // Management calls return bool rather than asserting: `false` means the
 // operation is refused in the current state (disk index out of range, no
@@ -43,6 +50,7 @@
 
 #include "array/content.h"
 #include "array/controller.h"
+#include "array/idle_detector.h"
 #include "array/layout.h"
 #include "array/request.h"
 #include "array/stripe_lock.h"
@@ -148,6 +156,11 @@ class ArrayScheme : public ArrayController {
   // policy's name for AFRAID, the mode/scheme label otherwise).
   virtual std::string PolicyLabel() const = 0;
 
+  // The one client front end. Counts the request in (OnClientStart), splits
+  // it once and serves a read segment by segment (ReadSegment) or a write
+  // stripe group by stripe group (WriteStripe); counts it out
+  // (OnClientEnd) after `done` has run.
+  void Submit(const ClientRequest& request, RequestDone done) final;
   int64_t DataCapacityBytes() const override { return layout_->data_capacity_bytes(); }
   // The logical-to-physical layout client offsets are resolved through.
   const ArrayLayout& layout() const { return *layout_; }
@@ -202,6 +215,20 @@ class ArrayScheme : public ArrayController {
               std::unique_ptr<ArrayLayout> layout, ContentShape content, Probe probe);
 
   // --- Hooks ------------------------------------------------------------------
+  // One stripe's share of client write `request_id`: its segments in
+  // `stripe`, in request order. They stay valid, in place, until the request
+  // completes. Runs `join->Dec(true)` once the group is written.
+  virtual void WriteStripe(uint64_t request_id, int64_t stripe, Span<Segment> segs,
+                           JoinBlock* join) = 0;
+  // Reads one client segment and runs `join->Dec(true)` once it is served.
+  // The default reads the data disk, or degraded when that disk is
+  // unavailable; a read whose disk op fails (the disk died under it) is
+  // re-run degraded.
+  virtual void ReadSegment(const Segment& seg, JoinBlock* join);
+  // Run once a client request is counted in, and once it is counted out
+  // after its `done` (clients_in_flight() already includes / excludes it).
+  virtual void OnClientStart() {}
+  virtual void OnClientEnd() {}
   // One sweep step. Called with the stripe locked exclusively, for each
   // stripe with a unit on the replaced disk; `column` is that unit
   // (ColumnOnDisk). Restores it, then calls StripeReconstructed(stripe)
@@ -233,10 +260,15 @@ class ArrayScheme : public ArrayController {
   // Ends a sweep step: advances the frontier past `stripe`, releases its
   // lock and moves on to the next stripe.
   void StripeReconstructed(int64_t stripe);
-  // Reads one client segment from its data disk, or degraded when that disk
-  // is unavailable; a read whose disk op fails (the disk died under it) is
-  // re-run degraded. Runs `join->Dec(true)` once the segment is served.
-  void ReadSegment(const Segment& seg, JoinBlock* join);
+  // Starts the idle detector (call from the constructor): `on_idle` fires
+  // once no client request has been in flight for `delay`, and re-arms
+  // after the next busy period.
+  void DetectIdle(SimDuration delay, std::function<void()> on_idle);
+  int32_t clients_in_flight() const { return clients_; }
+  // Content tracking: column `column` of `seg`'s stripe now holds the tags
+  // client write `request_id` put in `seg` (data block j is column j,
+  // redundancy block w is ParityColumn(w)). A no-op when content is off.
+  void StoreWrite(uint64_t request_id, const Segment& seg, int32_t column);
   // The degraded read: takes the stripe exclusively, then reads the block
   // from the replacement if the sweep restored it during the lock wait, or
   // else rebuilds it from the other n-1 data blocks and parity 0, billing
@@ -250,9 +282,6 @@ class ArrayScheme : public ArrayController {
     return disk == failed_disk_ ||
            (disk == recovering_disk_ && stripe >= recovery_frontier_);
   }
-  // A request's Split() into scratch that the next call overwrites: callers
-  // consume it synchronously (continuations capture segments by value).
-  Span<Segment> SegmentsOf(const ClientRequest& r);
   int32_t ParityColumn(int32_t which = 0) const {
     return layout_->data_blocks_per_stripe() + which;
   }
@@ -277,7 +306,11 @@ class ArrayScheme : public ArrayController {
 
   std::vector<std::unique_ptr<DiskModel>> disks_;
   std::vector<Probe> disk_probes_;  // One per disk, same track as its DiskModel.
-  std::vector<Segment> split_scratch_;  // SegmentsOf (consumed synchronously).
+  // Each request's split, alive until the request completes (write groups
+  // are spans into it).
+  VecPool<Segment> seg_pool_;
+  int32_t clients_ = 0;  // Client requests in flight.
+  std::unique_ptr<IdleDetector> idle_detector_;
 
   int32_t failed_disk_ = -1;
   int32_t recovering_disk_ = -1;

@@ -24,20 +24,11 @@ struct ArrayConfig {
   // DeclusteredLayout::AutoWidth (about half the array). Ignored for the
   // left-symmetric layout.
   int32_t decluster_width = 0;
-  int64_t read_cache_bytes = 256 * 1024;       // Section 4.1.
-  int64_t write_staging_bytes = 256 * 1024;    // Write-through staging area.
   SimDuration idle_delay = Milliseconds(100);  // Idleness-detector threshold.
-  SimDuration cache_hit_time = MicrosecondsF(200.0);  // Controller-only service.
-  // Concurrently active client requests admitted into the array; 0 means
-  // "number of physical disks" (the paper's choice).
-  int32_t max_active_requests = 0;
   // Host-driver queueing discipline; the paper used CLOOK [Worthington94a].
   HostSched host_sched = HostSched::kClook;
   // Enable the functional content model (tests; costs memory and time).
   bool track_content = false;
-  // Reconstruct-write is chosen over read-modify-write when a stripe write
-  // touches more than this fraction of the data blocks.
-  double reconstruct_write_fraction = 0.5;
   // Sub-stripe marking (Section 5): number of marking bits per stripe. Each
   // bit covers one horizontal band of height stripe_unit/M across all the
   // stripe's blocks, so small writes only unprotect (and later rebuild)
@@ -50,9 +41,9 @@ struct ArrayConfig {
   // paper's baseline ignores the predictor (false).
   bool use_idle_predictor = false;
 
-  int32_t MaxActive() const {
-    return max_active_requests > 0 ? max_active_requests : num_disks;
-  }
+  // Concurrently active client requests admitted into the array: the
+  // number of physical disks (the paper's choice).
+  int32_t MaxActive() const { return num_disks; }
 };
 
 }  // namespace afraid

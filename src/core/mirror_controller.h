@@ -39,8 +39,6 @@ class MirrorController : public ArrayScheme {
   MirrorController(Simulator* sim, const ArrayConfig& config, Probe probe = {});
   ~MirrorController() override;
 
-  void Submit(const ClientRequest& request, RequestDone done) override;
-
   // --- ArrayScheme interface ---
   const char* SchemeName() const override { return "mirror"; }
   std::string PolicyLabel() const override { return "Mirror-SPTF"; }
@@ -55,11 +53,12 @@ class MirrorController : public ArrayScheme {
   int32_t ChooseReplica(int64_t stripe, int32_t primary, const DiskOp& op) const;
 
  private:
-  void DoRead(const ClientRequest& r, RequestDone done);
   // Reads one segment from the replica ChooseReplica picks; a read whose
   // disk op fails is re-issued, which lands on the surviving twin.
-  void ReadReplica(const Segment& seg, JoinBlock* join);
-  void DoWrite(const ClientRequest& r, RequestDone done);
+  void ReadSegment(const Segment& seg, JoinBlock* join) override;
+  // Writes each segment to both copies (WriteSegment), in request order.
+  void WriteStripe(uint64_t request_id, int64_t stripe, Span<Segment> segs,
+                   JoinBlock* join) override;
   void WriteSegment(uint64_t request_id, const Segment& seg, JoinBlock* join);
   void ReconstructStripe(int64_t stripe, int32_t column) override;
   // Disks 2c and 2c+1 hold column c's primary copy and its twin: data

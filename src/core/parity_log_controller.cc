@@ -44,39 +44,19 @@ ParityLogController::ParityLogController(Simulator* sim, const ArrayConfig& conf
 
 ParityLogController::~ParityLogController() = default;
 
-void ParityLogController::Submit(const ClientRequest& request, RequestDone done) {
-  assert(request.size > 0);
-  assert(request.offset >= 0 &&
-         request.offset + request.size <= layout_->data_capacity_bytes());
-  if (request.is_write) {
-    DoWrite(request, std::move(done));
-  } else {
-    DoRead(request, std::move(done));
-  }
-}
-
-void ParityLogController::DoRead(const ClientRequest& r, RequestDone done) {
-  const Span<Segment> segs = SegmentsOf(r);
-  JoinBlock* join = joins_.Make(
-      segs.count, [done = std::move(done)](bool) mutable { done(); });
-  for (const Segment& seg : segs) {
-    ReadSegment(seg, join);
-  }
-}
-
-void ParityLogController::DoWrite(const ClientRequest& r, RequestDone done) {
-  const Span<Segment> segs = SegmentsOf(r);
-  JoinBlock* join = joins_.Make(
-      segs.count, [done = std::move(done)](bool) mutable { done(); });
+void ParityLogController::WriteStripe(uint64_t request_id, int64_t /*stripe*/,
+                                      Span<Segment> segs, JoinBlock* group_join) {
+  JoinBlock* join =
+      joins_.Make(segs.count, [group_join](bool) { group_join->Dec(true); });
   for (const Segment& seg : segs) {
     if (log_used_ >= log_cfg_.log_region_bytes) {
       // The log is hard-full: "the pending parity updates must be applied
       // immediately, interrupting foreground processing to do so." The
       // write resumes as soon as a replay batch reclaims space.
       ++hard_stalls_;
-      stalled_.push_back(StalledWrite{r.id, seg, join});
+      stalled_.push_back(StalledWrite{request_id, seg, join});
     } else {
-      WriteSegment(r.id, seg, join);
+      WriteSegment(request_id, seg, join);
     }
   }
 }
@@ -86,17 +66,11 @@ void ParityLogController::UpdateContentForWrite(uint64_t request_id,
   if (content_ == nullptr) {
     return;
   }
-  const int32_t sector = sector_bytes_;
-  const int32_t first = seg.offset_in_block / sector;
-  const int32_t count = seg.length / sector;
-  const int64_t logical_first = seg.logical_offset / sector;
-  for (int32_t i = 0; i < count; ++i) {
-    content_->SetData(seg.stripe, seg.block_in_stripe, first + i,
-                      ContentModel::MixTag(request_id, logical_first + i));
-  }
+  StoreWrite(request_id, seg, seg.block_in_stripe);
   // The images are durable, so the parity information is always live: the
   // content model tracks the post-replay parity directly.
-  content_->RefreshParity(seg.stripe, first, count);
+  content_->RefreshParity(seg.stripe, seg.offset_in_block / sector_bytes_,
+                          seg.length / sector_bytes_);
 }
 
 void ParityLogController::WriteSegment(uint64_t request_id, const Segment& seg,

@@ -73,8 +73,6 @@ class ParityLogController : public ArrayScheme {
                       const ParityLogConfig& log_config, Probe probe = {});
   ~ParityLogController() override;
 
-  void Submit(const ClientRequest& request, RequestDone done) override;
-
   // --- ArrayScheme interface ---
   const char* SchemeName() const override { return "parity-log"; }
   std::string PolicyLabel() const override { return "ParityLog"; }
@@ -103,8 +101,10 @@ class ParityLogController : public ArrayScheme {
     JoinBlock* join = nullptr;
   };
 
-  void DoRead(const ClientRequest& r, RequestDone done);
-  void DoWrite(const ClientRequest& r, RequestDone done);
+  // Each segment waits for a replay while the log is hard-full, else is
+  // written (WriteSegment), in request order.
+  void WriteStripe(uint64_t request_id, int64_t stripe, Span<Segment> segs,
+                   JoinBlock* join) override;
   void WriteSegment(uint64_t request_id, const Segment& seg, JoinBlock* join);
   void ReconstructStripe(int64_t stripe, int32_t column) override;
   // Content bookkeeping for one committed write segment: data tags plus the

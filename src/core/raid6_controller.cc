@@ -52,8 +52,7 @@ Raid6Controller::Raid6Controller(Simulator* sim, const ArrayConfig& config,
       q_only_stale_(sim->Now()),
       both_stale_(sim->Now()) {
   assert(config.num_disks >= 4);
-  idle_detector_ = std::make_unique<IdleDetector>(sim_, config.idle_delay,
-                                                  [this] { MaybeStartRebuild(); });
+  DetectIdle(config.idle_delay, [this] { MaybeStartRebuild(); });
 }
 
 Raid6Controller::~Raid6Controller() = default;
@@ -112,46 +111,6 @@ void Raid6Controller::ClearStale(int64_t stripe) {
   UpdateExposure();
 }
 
-void Raid6Controller::NoteClientStart() {
-  if (outstanding_clients_++ == 0) {
-    idle_detector_->NoteBusy();
-  }
-}
-
-void Raid6Controller::NoteClientEnd() {
-  assert(outstanding_clients_ > 0);
-  if (--outstanding_clients_ == 0) {
-    idle_detector_->NoteIdle();
-  }
-}
-
-void Raid6Controller::Submit(const ClientRequest& request, RequestDone done) {
-  assert(request.size > 0);
-  assert(request.offset >= 0 &&
-         request.offset + request.size <= layout_->data_capacity_bytes());
-  NoteClientStart();
-  // The request join folds NoteClientEnd in after `done` (same order the old
-  // wrapper ran them), sparing a second allocation-prone indirection.
-  if (request.is_write) {
-    DoWrite(request, std::move(done));
-  } else {
-    DoRead(request, std::move(done));
-  }
-}
-
-void Raid6Controller::DoRead(const ClientRequest& r, RequestDone done) {
-  const Span<Segment> segs = SegmentsOf(r);
-  JoinBlock* join = joins_.Make(
-      segs.count,
-      [this, done = std::move(done)](bool) mutable {
-        done();
-        NoteClientEnd();
-      });
-  for (const Segment& seg : segs) {
-    ReadSegment(seg, join);
-  }
-}
-
 bool Raid6Controller::RangeStale(int64_t stripe, int32_t /*offset_in_block*/,
                                  int32_t /*length*/) const {
   // Degraded reads rebuild through P. Q is stale wherever P is (q_stale_ is a
@@ -160,47 +119,12 @@ bool Raid6Controller::RangeStale(int64_t stripe, int32_t /*offset_in_block*/,
   return p_stale_.IsDirty(stripe);
 }
 
-void Raid6Controller::DoWrite(const ClientRequest& r, RequestDone done) {
-  // Split emits segments with nondecreasing stripe numbers, so grouping by
-  // stripe is a contiguous-run scan -- same groups, same ascending dispatch
-  // order as the ordered-map grouping this replaces. The segments stay alive
-  // (spans point into them) until the request join fires: a pooled vector
-  // owned by the join holds them.
-  std::vector<Segment>* pooled = seg_pool_.Acquire();
-  layout_->SplitInto(r.offset, r.size, pooled);
-  const Segment* base = pooled->data();
-  const size_t count = pooled->size();
-  int32_t n_groups = 0;
-  for (size_t i = 0; i < count; ++i) {
-    if (i == 0 || base[i].stripe != base[i - 1].stripe) {
-      ++n_groups;
-    }
+void Raid6Controller::WriteStripe(uint64_t request_id, int64_t stripe,
+                                  Span<Segment> segs, JoinBlock* group_join) {
+  if (failed_disk() >= 0 || recovering_disk() >= 0) {
+    DegradedWriteStripe(request_id, stripe, segs, group_join);
+    return;
   }
-  JoinBlock* join =
-      joins_.Make(n_groups, [this, done = std::move(done), pooled](bool) mutable {
-        seg_pool_.Release(pooled);
-        done();
-        NoteClientEnd();
-      });
-  const bool degraded = failed_disk() >= 0 || recovering_disk() >= 0;
-  size_t i = 0;
-  while (i < count) {
-    size_t j = i + 1;
-    while (j < count && base[j].stripe == base[i].stripe) {
-      ++j;
-    }
-    const Span<Segment> group{base + i, static_cast<int32_t>(j - i)};
-    if (degraded) {
-      DegradedWriteStripe(r.id, base[i].stripe, group, join);
-    } else {
-      WriteStripeGroup(r.id, base[i].stripe, group, join);
-    }
-    i = j;
-  }
-}
-
-void Raid6Controller::WriteStripeGroup(uint64_t request_id, int64_t stripe,
-                                       Span<Segment> segs, JoinBlock* group_join) {
   if (mode_ == Raid6Mode::kSynchronous) {
     ++sync_mode_writes_;
   } else {
@@ -212,7 +136,6 @@ void Raid6Controller::WriteStripeGroup(uint64_t request_id, int64_t stripe,
   locks_.Acquire(stripe, LockMode::kExclusive, [this, request_id, stripe, segs,
                                                 group_join] {
     const int32_t sector = sector_bytes_;
-    const int64_t unit = layout_->stripe_unit();
 
     // Parity deltas over the touched span (valid because of the exclusive
     // lock): dP = old ^ new; dQ = g^j * (old ^ new). Pooled buffers,
@@ -252,8 +175,7 @@ void Raid6Controller::WriteStripeGroup(uint64_t request_id, int64_t stripe,
     const bool update_q = mode_ == Raid6Mode::kSynchronous;
 
     auto write_phase = [this, request_id, stripe, segs, span_lo, span_hi,
-                        first_sector, sector, unit, update_p, update_q, dp, dq,
-                        group_join](bool) {
+                        first_sector, update_p, update_q, dp, dq, group_join](bool) {
       const int32_t writes =
           segs.count + (update_p ? 1 : 0) + (update_q ? 1 : 0);
       JoinBlock* join = joins_.Make(writes, [this, stripe, dp, dq,
@@ -274,16 +196,9 @@ void Raid6Controller::WriteStripeGroup(uint64_t request_id, int64_t stripe,
         const BlockLoc dl = layout_->DataLocation(stripe, seg.block_in_stripe);
         IssueDiskOp(dl.disk, dl.byte_offset + seg.offset_in_block, seg.length,
                     /*is_write=*/true, DiskOpPurpose::kClientWrite,
-                    [this, request_id, seg, sector, join](bool ok) {
-                      if (ok && content_ != nullptr) {
-                        const int32_t first = seg.offset_in_block / sector;
-                        const int32_t count = seg.length / sector;
-                        const int64_t logical_first = seg.logical_offset / sector;
-                        for (int32_t i = 0; i < count; ++i) {
-                          content_->SetData(seg.stripe, seg.block_in_stripe, first + i,
-                                            ContentModel::MixTag(request_id,
-                                                                 logical_first + i));
-                        }
+                    [this, request_id, seg, join](bool ok) {
+                      if (ok) {
+                        StoreWrite(request_id, seg, seg.block_in_stripe);
                       }
                       join->Dec(true);
                     });
@@ -417,7 +332,7 @@ void Raid6Controller::RebuildNext() {
     if (ok) {
       ++stripes_rebuilt_;
     }
-    const bool keep_going = drain_done_ != nullptr || outstanding_clients_ == 0;
+    const bool keep_going = drain_done_ != nullptr || clients_in_flight() == 0;
     if (keep_going && q_stale_.DirtyCount() > 0) {
       RebuildNext();
     } else {
@@ -509,7 +424,6 @@ void Raid6Controller::DegradedWriteStripe(uint64_t request_id, int64_t stripe,
                                                 group_join] {
     const int32_t n = layout_->data_blocks_per_stripe();
     const int64_t unit = layout_->stripe_unit();
-    const int32_t sector = sector_bytes_;
     const BlockLoc p_loc = layout_->ParityLocation(stripe, 0);
     const BlockLoc q_loc = layout_->ParityLocation(stripe, 1);
     const bool p_avail = !DiskUnavailable(p_loc.disk, stripe);
@@ -542,13 +456,7 @@ void Raid6Controller::DegradedWriteStripe(uint64_t request_id, int64_t stripe,
     // sweep rewrites it.
     if (content_ != nullptr) {
       for (const Segment& seg : segs) {
-        const int32_t first = seg.offset_in_block / sector;
-        const int32_t cnt = seg.length / sector;
-        const int64_t logical_first = seg.logical_offset / sector;
-        for (int32_t i = 0; i < cnt; ++i) {
-          content_->SetData(stripe, seg.block_in_stripe, first + i,
-                            ContentModel::MixTag(request_id, logical_first + i));
-        }
+        StoreWrite(request_id, seg, seg.block_in_stripe);
       }
       if (p_avail) {
         content_->RefreshParity(stripe);
