@@ -12,7 +12,7 @@
 #include <string>
 
 #include "core/experiment.h"
-#include "obs/json.h"
+#include "json_reader.h"
 #include "obs/report_io.h"
 #include "trace/workload_gen.h"
 

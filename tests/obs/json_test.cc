@@ -6,6 +6,8 @@
 #include <limits>
 #include <string>
 
+#include "json_reader.h"
+
 namespace afraid {
 namespace {
 

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/json.h"
+#include "json_reader.h"
 #include "sim/time.h"
 
 namespace afraid {

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "obs/json.h"
+#include "json_reader.h"
 #include "trace/workload_gen.h"
 
 namespace afraid {
