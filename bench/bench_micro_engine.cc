@@ -40,12 +40,13 @@ void BM_EventQueueScheduleFire(benchmark::State& state) {
   EventQueue q;
   Rng rng(42);
   int64_t sink = 0;
+  SimTime now = 0;
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) {
       q.Schedule(rng.UniformInt(0, 1'000'000), [&sink] { ++sink; });
     }
     while (!q.Empty()) {
-      q.PopNext().fn();
+      q.FireNext(&now);
     }
   }
   benchmark::DoNotOptimize(sink);
@@ -68,8 +69,9 @@ void BM_EventQueueCancelChurn(benchmark::State& state) {
       }
       slots[k] = q.Schedule(rng.UniformInt(0, 1'000'000), [&sink] { ++sink; });
     }
+    SimTime now = 0;
     while (!q.Empty()) {
-      q.PopNext().fn();
+      q.FireNext(&now);
     }
     std::fill(slots.begin(), slots.end(), kInvalidEventId);
   }

@@ -73,34 +73,6 @@ uint64_t ArrayScheme::TotalDiskOps() const {
   return total;
 }
 
-void ArrayScheme::IssueDiskOp(int32_t disk, int64_t byte_offset, int64_t length,
-                              bool is_write, DiskOpPurpose purpose, DiskDone done) {
-  assert(disk >= 0 && disk < num_disks());
-  assert(byte_offset % sector_bytes_ == 0);
-  assert(length > 0 && length % sector_bytes_ == 0);
-  ++disk_ops_[static_cast<size_t>(purpose)];
-  DiskOp op;
-  op.lba = byte_offset / sector_bytes_;
-  op.sectors = static_cast<int32_t>(length / sector_bytes_);
-  op.is_write = is_write;
-  const Probe disk_probe = disk_probes_[static_cast<size_t>(disk)];
-  if (disk_probe) {
-    disks_[static_cast<size_t>(disk)]->Submit(
-        op,
-        [disk_probe, purpose, done = std::move(done)](const DiskOpResult& r) mutable {
-          if (r.ok) {
-            // Emitted at completion, so per-track spans are ordered by finish
-            // time (tests/obs asserts this invariant).
-            disk_probe.Complete(DiskOpPurposeName(purpose), r.service_start, r.finish);
-          }
-          done(r.ok);
-        });
-  } else {
-    disks_[static_cast<size_t>(disk)]->Submit(
-        op, [done = std::move(done)](const DiskOpResult& r) mutable { done(r.ok); });
-  }
-}
-
 void ArrayScheme::RecordLoss(LossCause cause, int64_t stripe, int64_t bytes) {
   assert(bytes > 0);
   ++loss_events_;

@@ -42,10 +42,12 @@
 #define AFRAID_ARRAY_SCHEME_H_
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "array/content.h"
@@ -252,8 +254,39 @@ class ArrayScheme : public ArrayController {
   // --- Services ---------------------------------------------------------------
   // Submits one disk op and counts it under `purpose`; `done(ok)` fires at
   // completion. Traced runs get a purpose-labelled span on the disk's track.
+  // `done` is wrapped once (with the span when traced) into the op's record,
+  // inline: one type-erased layer per op.
+  template <typename F>
   void IssueDiskOp(int32_t disk, int64_t byte_offset, int64_t length, bool is_write,
-                   DiskOpPurpose purpose, DiskDone done);
+                   DiskOpPurpose purpose, F&& done) {
+    assert(disk >= 0 && disk < num_disks());
+    assert(byte_offset % sector_bytes_ == 0);
+    assert(length > 0 && length % sector_bytes_ == 0);
+    ++disk_ops_[static_cast<size_t>(purpose)];
+    // Built inline so the record copies it from registers, not from memory.
+    const DiskOp op{byte_offset / sector_bytes_,
+                    static_cast<int32_t>(length / sector_bytes_), is_write};
+    DiskModel& target = *disks_[static_cast<size_t>(disk)];
+    const Probe disk_probe = disk_probes_[static_cast<size_t>(disk)];
+    if (!disk_probe) {
+      target.Submit(op, [done = std::forward<F>(done)](const DiskOpResult& r) mutable {
+        done(r.ok);
+      });
+      return;
+    }
+    auto traced = [disk_probe, purpose,
+                   done = std::forward<F>(done)](const DiskOpResult& r) mutable {
+      if (r.ok) {
+        // Emitted at completion, so per-track spans are ordered by finish
+        // time (tests/obs asserts this invariant).
+        disk_probe.Complete(DiskOpPurposeName(purpose), r.service_start, r.finish);
+      }
+      done(r.ok);
+    };
+    static_assert(DiskOpCallback::kFitsInline<decltype(traced)>,
+                  "disk-op continuation outgrows DiskOpCallback's inline buffer");
+    target.Submit(op, std::move(traced));
+  }
   // Central loss accounting: updates the counters, marks the controller
   // track and notifies the listener.
   void RecordLoss(LossCause cause, int64_t stripe, int64_t bytes);

@@ -15,12 +15,59 @@ StripeLockTable::State* StripeLockTable::AcquireState() {
   return st;
 }
 
-void StripeLockTable::Acquire(int64_t stripe, LockMode mode, Grant granted) {
-  auto it = stripes_.find(stripe);
-  if (it == stripes_.end()) {
-    it = stripes_.emplace(stripe, AcquireState()).first;
+size_t StripeLockTable::Find(int64_t stripe) const {
+  const size_t mask = table_.size() - 1;
+  for (size_t i = HomeSlot(stripe, table_.size());; i = (i + 1) & mask) {
+    if (table_[i].state == nullptr) {
+      return kNone;
+    }
+    if (table_[i].stripe == stripe) {
+      return i;
+    }
   }
-  State& st = *it->second;
+}
+
+size_t StripeLockTable::Place(const Entry& e) {
+  const size_t mask = table_.size() - 1;
+  size_t i = HomeSlot(e.stripe, table_.size());
+  while (table_[i].state != nullptr) {
+    i = (i + 1) & mask;
+  }
+  table_[i] = e;
+  return i;
+}
+
+void StripeLockTable::Erase(size_t i) {
+  // Backward-shift deletion: walk the probe run after the hole and move back
+  // every entry whose home does not lie after the hole (cyclically), so no
+  // run has a gap and no tombstones are needed.
+  const size_t mask = table_.size() - 1;
+  for (size_t j = (i + 1) & mask; table_[j].state != nullptr; j = (j + 1) & mask) {
+    const size_t home = HomeSlot(table_[j].stripe, table_.size());
+    if (((j - home) & mask) >= ((j - i) & mask)) {
+      table_[i] = table_[j];
+      i = j;
+    }
+  }
+  table_[i] = Entry{};
+  --used_;
+}
+
+void StripeLockTable::Acquire(int64_t stripe, LockMode mode, Grant granted) {
+  size_t i = Find(stripe);
+  if (i == kNone) {
+    if (2 * ++used_ > table_.size()) {
+      std::vector<Entry> old(2 * table_.size());
+      old.swap(table_);
+      for (const Entry& e : old) {
+        if (e.state != nullptr) {
+          Place(e);
+        }
+      }
+    }
+    i = Place(Entry{stripe, AcquireState()});
+  }
+  State& st = *table_[i].state;
   const bool free_for_shared =
       !st.exclusive_held && st.waiters.empty() && mode == LockMode::kShared;
   const bool free_for_exclusive = !st.exclusive_held && st.shared_held == 0 &&
@@ -39,9 +86,9 @@ void StripeLockTable::Acquire(int64_t stripe, LockMode mode, Grant granted) {
 }
 
 void StripeLockTable::Release(int64_t stripe, LockMode mode) {
-  auto it = stripes_.find(stripe);
-  assert(it != stripes_.end());
-  State* st = it->second;
+  const size_t i = Find(stripe);
+  assert(i != kNone);
+  State* st = table_[i].state;
   if (mode == LockMode::kShared) {
     assert(st->shared_held > 0);
     --st->shared_held;
@@ -49,13 +96,14 @@ void StripeLockTable::Release(int64_t stripe, LockMode mode) {
     assert(st->exclusive_held);
     st->exclusive_held = false;
   }
-  Pump(stripe, st);
+  Pump(i);
 }
 
-void StripeLockTable::Pump(int64_t stripe, State* st) {
+void StripeLockTable::Pump(size_t i) {
   // Collect the grants to run *after* mutating state: a grant callback may
   // re-enter Acquire/Release on this same stripe. The scratch vector is
   // shared across nested Pumps stack-wise, so steady state never allocates.
+  State* st = table_[i].state;
   const size_t base = pump_run_.size();
   while (!st->waiters.empty()) {
     Waiter& w = st->waiters.front();
@@ -77,14 +125,14 @@ void StripeLockTable::Pump(int64_t stripe, State* st) {
     }
   }
   if (st->shared_held == 0 && !st->exclusive_held && st->waiters.empty()) {
-    stripes_.erase(stripe);
+    Erase(i);
     state_free_.push_back(st);
   }
   const size_t admitted = pump_run_.size() - base;
-  for (size_t i = 0; i < admitted; ++i) {
+  for (size_t k = 0; k < admitted; ++k) {
     // Move out before invoking: a re-entrant Pump may push into (and grow)
     // pump_run_ while this grant runs.
-    Grant g = std::move(pump_run_[base + i]);
+    Grant g = std::move(pump_run_[base + k]);
     g();
   }
   pump_run_.resize(base);

@@ -33,25 +33,21 @@ void DiskModel::ReleaseRecord(OpRecord* rec) {
   free_records_.push_back(rec);
 }
 
-void DiskModel::Submit(const DiskOp& op, DiskOpCallback done) {
-  assert(op.sectors > 0);
+void DiskModel::FailAtSubmit(DiskOpCallback done) {
   const SimTime now = sim_->Now();
-  if (failed_) {
-    DiskOpResult result;
-    result.ok = false;
-    result.submitted = now;
-    result.service_start = now;
-    result.finish = now;
-    sim_->After(0, [done = std::move(done), result]() mutable { done(result); });
-    return;
-  }
-  OpRecord* rec = AcquireRecord();
-  rec->op = op;
-  rec->submitted = now;
-  rec->done = std::move(done);
+  DiskOpResult result;
+  result.ok = false;
+  result.submitted = now;
+  result.service_start = now;
+  result.finish = now;
+  sim_->After(0, [done = std::move(done), result]() mutable { done(result); });
+}
+
+void DiskModel::Enqueue(OpRecord* rec) {
   queue_.push_back(rec);
   if (probe_) {
-    probe_.Counter(queue_counter_name_, now, static_cast<double>(QueueDepth()));
+    probe_.Counter(queue_counter_name_, rec->submitted,
+                   static_cast<double>(QueueDepth()));
   }
   if (!busy_) {
     StartNext();

@@ -16,9 +16,11 @@
 #ifndef AFRAID_DISK_DISK_MODEL_H_
 #define AFRAID_DISK_DISK_MODEL_H_
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/arena.h"
@@ -42,10 +44,11 @@ struct DiskOpResult {
   ServiceBreakdown breakdown;     // Zero for failed ops.
 };
 
-// Sized for the controllers' completion continuations (the probe-wrapped
-// purpose-labelled span emitter carrying a DiskDone is the fattest capture
-// today, at 104 bytes).
-using DiskOpCallback = SmallCallback<void(const DiskOpResult&), 112>;
+// Sized for the controllers' completion continuations, which the engine's
+// IssueDiskOp wraps once (src/array/scheme.h) and requires to fit inline.
+// The fattest is a traced mirror client write: the span's probe and purpose
+// around [this, request id, segment, side, pair join], 88 bytes.
+using DiskOpCallback = SmallCallback<void(const DiskOpResult&), 88>;
 
 class DiskModel {
  public:
@@ -58,9 +61,22 @@ class DiskModel {
   DiskModel(const DiskModel&) = delete;
   DiskModel& operator=(const DiskModel&) = delete;
 
-  // Enqueues an operation. The callback fires at completion time; if the disk
-  // is (or becomes) failed, it fires with ok=false.
-  void Submit(const DiskOp& op, DiskOpCallback done);
+  // Enqueues an operation. The callback, built in the op's record, fires
+  // there at completion time; if the disk is (or becomes) failed, it fires
+  // with ok=false.
+  template <typename F>
+  void Submit(const DiskOp& op, F&& done) {
+    assert(op.sectors > 0);
+    if (failed_) {
+      FailAtSubmit(DiskOpCallback(std::forward<F>(done)));
+      return;
+    }
+    OpRecord* rec = AcquireRecord();
+    rec->op = op;
+    rec->submitted = sim_->Now();
+    rec->done.Emplace(std::forward<F>(done));
+    Enqueue(rec);
+  }
 
   // Marks the disk failed. Everything queued completes with ok=false at the
   // failure time; later Submits fail at submit time. The in-flight op, if
@@ -120,6 +136,8 @@ class DiskModel {
 
   OpRecord* AcquireRecord();
   void ReleaseRecord(OpRecord* rec);
+  void Enqueue(OpRecord* rec);
+  void FailAtSubmit(DiskOpCallback done);  // ok=false from a zero-delay event.
   void StartNext();
   void Complete(OpRecord* rec);
 

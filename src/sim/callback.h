@@ -7,7 +7,8 @@
 // cost a heap allocation per callback. SmallCallback<Sig, N> stores captures
 // up to N bytes directly inside the object -- each seam sizes its alias so
 // every callback it carries today fits -- and falls back to a heap box only
-// for oversized captures. Move-only captures are fully supported.
+// for oversized captures. Move-only captures are fully supported. Event
+// slots, disk-op records and join blocks Emplace each callable where it runs.
 
 #ifndef AFRAID_SIM_CALLBACK_H_
 #define AFRAID_SIM_CALLBACK_H_
@@ -30,19 +31,18 @@ class SmallCallback<R(Args...), InlineBytes> {
 
   SmallCallback() = default;
 
+  // True when a callable of type Fn is stored inline, not in a heap box.
+  template <typename Fn>
+  static constexpr bool kFitsInline =
+      sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<Fn>;
+
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, SmallCallback> &&
                 std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   SmallCallback(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::decay_t<F>;
-    if constexpr (kFitsInline<Fn>) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      ops_ = &kInlineOps<Fn>;
-    } else {
-      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
-      ops_ = &kHeapOps<Fn>;
-    }
+    Construct(std::forward<F>(f));
   }
 
   SmallCallback(SmallCallback&& other) noexcept { MoveFrom(other); }
@@ -65,6 +65,23 @@ class SmallCallback<R(Args...), InlineBytes> {
     return ops_->invoke(storage_, std::forward<Args>(args)...);
   }
 
+  // Destroys the held callable, if any, and constructs `f` in its place (no
+  // temporary, no relocation). An rvalue SmallCallback of this very type is
+  // moved in, not boxed.
+  template <typename F>
+  void Emplace(F&& f) {
+    if constexpr (std::is_same_v<std::decay_t<F>, SmallCallback>) {
+      static_assert(!std::is_lvalue_reference_v<F>, "emplace a SmallCallback by move");
+      if (this != &f) {
+        Reset();
+        MoveFrom(f);
+      }
+    } else {
+      Reset();
+      Construct(std::forward<F>(f));
+    }
+  }
+
   // Destroys the held callable (and its captures), leaving the object empty.
   void Reset() {
     if (ops_ != nullptr) {
@@ -85,11 +102,6 @@ class SmallCallback<R(Args...), InlineBytes> {
     // Null when destruction is a no-op.
     void (*destroy)(void* self);
   };
-
-  template <typename Fn>
-  static constexpr bool kFitsInline =
-      sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
-      std::is_nothrow_move_constructible_v<Fn>;
 
   template <typename Fn>
   static constexpr bool kTriviallyRelocatable =
@@ -123,6 +135,19 @@ class SmallCallback<R(Args...), InlineBytes> {
       nullptr,
       [](void* self) { delete *std::launder(reinterpret_cast<Fn**>(self)); },
   };
+
+  // Precondition: empty.
+  template <typename F>
+  void Construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (kFitsInline<Fn>) {
+      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+      ops_ = &kInlineOps<Fn>;
+    } else {
+      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
+      ops_ = &kHeapOps<Fn>;
+    }
+  }
 
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push

@@ -4,14 +4,11 @@ namespace afraid {
 
 void Simulator::RunUntil(SimTime deadline) {
   while (!queue_.Empty()) {
-    const SimTime next = queue_.NextTime();
-    if (next > deadline) {
+    if (queue_.NextTime() > deadline) {
       break;
     }
-    auto fired = queue_.PopNext();
-    now_ = fired.time;
     ++events_processed_;
-    fired.fn();
+    queue_.FireNext(&now_);
   }
   if (now_ < deadline) {
     now_ = deadline;
@@ -27,10 +24,8 @@ bool Simulator::Step() {
   if (queue_.Empty()) {
     return false;
   }
-  auto fired = queue_.PopNext();
-  now_ = fired.time;
   ++events_processed_;
-  fired.fn();
+  queue_.FireNext(&now_);
   return true;
 }
 

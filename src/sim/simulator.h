@@ -11,6 +11,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <utility>
 
 #include "sim/event_queue.h"
 #include "sim/time.h"
@@ -27,15 +28,18 @@ class Simulator {
   SimTime Now() const { return now_; }
 
   // Schedules `fn` at absolute time `when`, which must not be in the past.
-  EventId At(SimTime when, EventQueue::Callback fn) {
+  // The callable is built in its event slot and runs there.
+  template <typename F>
+  EventId At(SimTime when, F&& fn) {
     assert(when >= now_);
-    return queue_.Schedule(when, std::move(fn));
+    return queue_.Schedule(when, std::forward<F>(fn));
   }
 
   // Schedules `fn` after a non-negative delay from now.
-  EventId After(SimDuration delay, EventQueue::Callback fn) {
+  template <typename F>
+  EventId After(SimDuration delay, F&& fn) {
     assert(delay >= 0);
-    return queue_.Schedule(now_ + delay, std::move(fn));
+    return queue_.Schedule(now_ + delay, std::forward<F>(fn));
   }
 
   // Cancels a pending event; see EventQueue::Cancel.

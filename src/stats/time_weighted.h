@@ -65,9 +65,15 @@ class TimeWeightedValue {
 
  private:
   void Accumulate(SimTime now) {
-    integral_ += value_ * ToSeconds(now - last_change_);
-    if (value_ > 0.0) {
-      positive_seconds_ += ToSeconds(now - last_change_);
+    // A zero signal adds exactly +0.0 to the integral, which never holds
+    // -0.0, so the interval's division is skipped (a disk's busy signal is
+    // zero before every op it starts).
+    if (value_ != 0.0) {
+      const double dt = ToSeconds(now - last_change_);
+      integral_ += value_ * dt;
+      if (value_ > 0.0) {
+        positive_seconds_ += dt;
+      }
     }
     last_change_ = now;
   }

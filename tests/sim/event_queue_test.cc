@@ -3,12 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "sim/arena.h"
+#include "sim/callback.h"
 #include "sim/random.h"
 
 namespace afraid {
 namespace {
+
+// Fires the earliest event in place and returns its scheduled time.
+SimTime Fire(EventQueue& q) {
+  SimTime t = -1;
+  q.FireNext(&t);
+  return t;
+}
 
 TEST(EventQueue, StartsEmpty) {
   EventQueue q;
@@ -24,7 +34,7 @@ TEST(EventQueue, FiresInTimeOrder) {
   q.Schedule(10, [&] { order.push_back(1); });
   q.Schedule(20, [&] { order.push_back(2); });
   while (!q.Empty()) {
-    q.PopNext().fn();
+    Fire(q);
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -36,7 +46,7 @@ TEST(EventQueue, TiesBreakFifo) {
     q.Schedule(42, [&order, i] { order.push_back(i); });
   }
   while (!q.Empty()) {
-    q.PopNext().fn();
+    Fire(q);
   }
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(order[static_cast<size_t>(i)], i);
@@ -47,8 +57,7 @@ TEST(EventQueue, PopReturnsScheduledTime) {
   EventQueue q;
   q.Schedule(1234, [] {});
   EXPECT_EQ(q.NextTime(), 1234);
-  auto fired = q.PopNext();
-  EXPECT_EQ(fired.time, 1234);
+  EXPECT_EQ(Fire(q), 1234);
   EXPECT_TRUE(q.Empty());
 }
 
@@ -61,7 +70,7 @@ TEST(EventQueue, CancelPreventsFiring) {
   EXPECT_EQ(q.Size(), 1u);
   EXPECT_EQ(q.NextTime(), 20);
   while (!q.Empty()) {
-    q.PopNext().fn();
+    Fire(q);
   }
   EXPECT_EQ(fired, 1);
 }
@@ -76,7 +85,7 @@ TEST(EventQueue, CancelTwiceFails) {
 TEST(EventQueue, CancelFiredEventFails) {
   EventQueue q;
   const EventId a = q.Schedule(10, [] {});
-  q.PopNext();
+  Fire(q);
   EXPECT_FALSE(q.Cancel(a));
 }
 
@@ -110,8 +119,7 @@ TEST(EventQueue, MoveOnlyCaptureFires) {
   auto owned = std::make_unique<int>(7);
   int seen = 0;
   q.Schedule(5, [owned = std::move(owned), &seen] { seen = *owned; });
-  auto fired = q.PopNext();
-  fired.fn();
+  Fire(q);
   EXPECT_EQ(seen, 7);
 }
 
@@ -137,7 +145,7 @@ TEST(EventQueue, LargeCaptureFallsBackToHeapBox) {
   big.pad[15] = 99;
   uint64_t seen = 0;
   q.Schedule(1, [big, &seen] { seen = big.pad[15]; });
-  q.PopNext().fn();
+  Fire(q);
   EXPECT_EQ(seen, 99u);
 }
 
@@ -146,7 +154,7 @@ TEST(EventQueue, CancelAfterFireOnRecycledSlotFails) {
   // id must fail the generation check rather than cancelling B.
   EventQueue q;
   const EventId a = q.Schedule(10, [] {});
-  q.PopNext();
+  Fire(q);
   const EventId b = q.Schedule(20, [] {});
   EXPECT_NE(a, b);
   EXPECT_FALSE(q.Cancel(a));
@@ -168,7 +176,7 @@ TEST(EventQueue, ClearThenReschedule) {
   EXPECT_EQ(q.NextTime(), 1);
   EXPECT_TRUE(q.Cancel(c));
   while (!q.Empty()) {
-    q.PopNext().fn();
+    Fire(q);
   }
   EXPECT_EQ(fired, 1);
 }
@@ -186,7 +194,7 @@ TEST(EventQueue, SameInstantFifoSurvivesCancellations) {
     q.Cancel(ids[static_cast<size_t>(i)]);
   }
   while (!q.Empty()) {
-    q.PopNext().fn();
+    Fire(q);
   }
   std::vector<int> expected;
   for (int i = 1; i < 32; i += 2) {
@@ -214,8 +222,125 @@ TEST(EventQueue, IdsStayUniqueAcrossSlotReuse) {
       EXPECT_NE(id, prior);
     }
     seen.push_back(id);
-    q.PopNext();  // Frees the slot for reuse next round.
+    Fire(q);  // Frees the slot for reuse next round.
   }
+}
+
+// --- In-place firing ----------------------------------------------------------
+
+TEST(EventQueue, CallbackOutlivesSlotGrowthItCauses) {
+  // The callback runs in its slot. Scheduling thousands of events from
+  // inside it adds slot chunks; its captures must stay where they are (ASan
+  // reports a slot that moved or was recycled while it ran).
+  EventQueue q;
+  int seen = 0;
+  q.Schedule(1, [&q, &seen, owned = std::make_unique<int>(41)] {
+    for (int i = 0; i < 3000; ++i) {
+      q.Schedule(2 + i, [] {});
+    }
+    seen = *owned + 1;
+  });
+  EXPECT_EQ(Fire(q), 1);
+  EXPECT_EQ(seen, 42);
+  EXPECT_EQ(q.Size(), 3000u);
+  while (!q.Empty()) {
+    Fire(q);
+  }
+}
+
+TEST(EventQueue, CallbackCancellingItselfGetsFalse) {
+  EventQueue q;
+  EventId self = kInvalidEventId;
+  bool cancelled = true;
+  self = q.Schedule(5, [&] { cancelled = q.Cancel(self); });
+  Fire(q);
+  EXPECT_FALSE(cancelled);
+  EXPECT_TRUE(q.Empty());
+}
+
+TEST(EventQueue, EventScheduledAtItsOwnInstantRunsAfterQueuedPeers) {
+  EventQueue q;
+  std::vector<int> order;
+  q.Schedule(10, [&] {
+    order.push_back(1);
+    q.Schedule(10, [&] { order.push_back(4); });
+  });
+  q.Schedule(10, [&] { order.push_back(2); });
+  q.Schedule(10, [&] { order.push_back(3); });
+  while (!q.Empty()) {
+    EXPECT_EQ(Fire(q), 10);
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(EventQueue, FiredSlotIsReusedOnlyAfterItsCallbackReturns) {
+  // The event scheduled from inside a callback draws a fresh slot; the
+  // firing one rejoins the free list afterwards and is handed out next.
+  EventQueue q;
+  EventId inner = kInvalidEventId;
+  const EventId outer = q.Schedule(1, [&] { inner = q.Schedule(2, [] {}); });
+  Fire(q);
+  EXPECT_NE(static_cast<uint32_t>(inner), static_cast<uint32_t>(outer));
+  const EventId next = q.Schedule(3, [] {});
+  EXPECT_EQ(static_cast<uint32_t>(next), static_cast<uint32_t>(outer));
+}
+
+// --- SmallCallback::Emplace and JoinPool -----------------------------------
+
+TEST(SmallCallback, EmplaceDestroysTheReplacedCapturesOnce) {
+  auto first = std::make_shared<int>(1);
+  auto second = std::make_shared<int>(2);
+  SmallCallback<int(), 48> cb([p = first] { return *p; });
+  EXPECT_EQ(first.use_count(), 2);
+  cb.Emplace([p = second] { return *p; });
+  EXPECT_EQ(first.use_count(), 1);
+  EXPECT_EQ(second.use_count(), 2);
+  EXPECT_EQ(cb(), 2);
+  cb.Reset();
+  EXPECT_EQ(second.use_count(), 1);
+}
+
+TEST(SmallCallback, EmplacingTheSameTypeMovesInsteadOfBoxing) {
+  using Cb = SmallCallback<int(), 48>;
+  auto owned = std::make_shared<int>(7);
+  Cb src([p = owned] { return *p; });
+  Cb dst;
+  dst.Emplace(std::move(src));
+  EXPECT_FALSE(src);  // Moved from, not wrapped: a box would leave it set.
+  EXPECT_EQ(owned.use_count(), 2);
+  EXPECT_EQ(dst(), 7);
+  dst.Emplace(std::move(dst));  // Self-emplace keeps the callable.
+  EXPECT_EQ(dst(), 7);
+  EXPECT_EQ(owned.use_count(), 2);
+}
+
+TEST(JoinPool, DoneCallbackDrawsAndCompletesANewJoin) {
+  // The done callback runs inside its block; the block is recycled only
+  // after it returns, so a join drawn from inside is a different block and
+  // may complete synchronously.
+  JoinPool pool;
+  std::vector<int> order;
+  JoinBlock* inner = nullptr;
+  JoinBlock* outer = pool.Make(2, [&, owned = std::make_unique<int>(5)](bool ok) {
+    EXPECT_TRUE(ok);
+    inner = pool.Make(1, [&](bool inner_ok) {
+      EXPECT_FALSE(inner_ok);
+      order.push_back(2);
+    });
+    inner->Dec(false);
+    order.push_back(*owned);
+  });
+  outer->Dec(true);
+  EXPECT_TRUE(order.empty());
+  outer->Dec(true);
+  EXPECT_EQ(order, (std::vector<int>{2, 5}));
+  EXPECT_NE(inner, outer);
+  // Both blocks are back in the pool; the next two draws reuse them.
+  JoinBlock* a = pool.Make(1, [](bool) {});
+  JoinBlock* b = pool.Make(1, [](bool) {});
+  EXPECT_TRUE((a == inner && b == outer) || (a == outer && b == inner));
+  a->Dec(true);
+  b->Dec(true);
 }
 
 // Property: against a shadow model, random schedule/cancel/pop sequences
@@ -246,15 +371,15 @@ TEST(EventQueueProperty, RandomizedAgainstShadowModel) {
         EXPECT_EQ(q.Cancel(s.id), !s.cancelled && !*s.fired);
         s.cancelled = true;
       } else if (!q.Empty()) {
-        q.PopNext().fn();
+        Fire(q);
       }
     }
     // Whatever is left must drain in non-decreasing time order.
     SimTime prev = -1;
     while (!q.Empty()) {
-      auto fired = q.PopNext();
-      EXPECT_GE(fired.time, prev);
-      prev = fired.time;
+      const SimTime t = Fire(q);
+      EXPECT_GE(t, prev);
+      prev = t;
     }
   }
 }
