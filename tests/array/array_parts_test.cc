@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <functional>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "array/cache.h"
@@ -179,6 +184,187 @@ TEST(StripeLock, BatchedSharedAdmissionAfterExclusive) {
   EXPECT_EQ(shared, 0);
   locks.Release(9, LockMode::kExclusive);
   EXPECT_EQ(shared, 2);  // Both shared admitted together.
+}
+
+// A std::map model of the lock table's holders and waiters, granting in the
+// same order: FIFO per stripe, compatible waiters admitted together after
+// the state change, each admitted grant run (and its re-entrant releases
+// served) in turn.
+class LockModel {
+ public:
+  struct Hold {
+    int64_t stripe;
+    LockMode mode;
+  };
+  // Runs when a grant is delivered; may call Release re-entrantly.
+  std::function<void(int, const Hold&)> on_grant;
+
+  void Acquire(int id, const Hold& h) {
+    Stripe& st = stripes_[h.stripe];
+    const bool free_now = !st.exclusive && st.waiters.empty() &&
+                          (h.mode == LockMode::kShared || st.shared == 0);
+    if (!free_now) {
+      st.waiters.push_back({id, h});
+      return;
+    }
+    Take(&st, h.mode);
+    on_grant(id, h);
+  }
+
+  void Release(const Hold& h) {
+    Stripe& st = stripes_.at(h.stripe);
+    if (h.mode == LockMode::kShared) {
+      --st.shared;
+    } else {
+      st.exclusive = false;
+    }
+    std::vector<std::pair<int, Hold>> admitted;
+    while (!st.waiters.empty()) {
+      const LockMode mode = st.waiters.front().second.mode;
+      if (st.exclusive || (mode == LockMode::kExclusive && st.shared > 0)) {
+        break;
+      }
+      Take(&st, mode);
+      admitted.push_back(st.waiters.front());
+      st.waiters.pop_front();
+      if (mode == LockMode::kExclusive) {
+        break;
+      }
+    }
+    if (st.shared == 0 && !st.exclusive && st.waiters.empty()) {
+      stripes_.erase(h.stripe);
+    }
+    for (const auto& [id, w] : admitted) {
+      on_grant(id, w);
+    }
+  }
+
+  bool Busy(int64_t stripe) const { return stripes_.count(stripe) != 0; }
+  bool HeldExclusive(int64_t stripe) const {
+    auto it = stripes_.find(stripe);
+    return it != stripes_.end() && it->second.exclusive;
+  }
+
+ private:
+  struct Stripe {
+    int shared = 0;
+    bool exclusive = false;
+    std::deque<std::pair<int, Hold>> waiters;
+  };
+  static void Take(Stripe* st, LockMode mode) {
+    if (mode == LockMode::kShared) {
+      ++st->shared;
+    } else {
+      st->exclusive = true;
+    }
+  }
+  std::map<int64_t, Stripe> stripes_;
+};
+
+// Stripes that share one home slot at `capacity` entries, hence at every
+// smaller capacity too.
+std::vector<int64_t> CollidingStripes(size_t capacity, size_t count) {
+  std::vector<int64_t> out;
+  const size_t home = StripeLockTable::HomeSlot(0, capacity);
+  for (int64_t s = 0; out.size() < count; ++s) {
+    if (StripeLockTable::HomeSlot(s, capacity) == home) {
+      out.push_back(s);
+    }
+  }
+  return out;
+}
+
+TEST(StripeLock, ReleasingTheHeadOfAProbeRunKeepsTheRestFindable) {
+  const std::vector<int64_t> run = CollidingStripes(1024, 4);
+  StripeLockTable locks;
+  for (const int64_t s : run) {
+    locks.Acquire(s, LockMode::kExclusive, [] {});
+  }
+  locks.Release(run[0], LockMode::kExclusive);  // The run's head.
+  EXPECT_FALSE(locks.Busy(run[0]));
+  for (size_t i = 1; i < run.size(); ++i) {
+    EXPECT_TRUE(locks.HeldExclusive(run[i])) << "stripe " << run[i];
+  }
+  locks.Release(run[2], LockMode::kExclusive);  // Mid-run.
+  EXPECT_TRUE(locks.HeldExclusive(run[1]));
+  EXPECT_TRUE(locks.HeldExclusive(run[3]));
+  locks.Release(run[1], LockMode::kExclusive);
+  locks.Release(run[3], LockMode::kExclusive);
+  for (const int64_t s : run) {
+    EXPECT_FALSE(locks.Busy(s));
+  }
+}
+
+TEST(StripeLock, MatchesAMapModelUnderRandomTraffic) {
+  // Half the stripes collide (one probe run at every capacity the table
+  // reaches), half spread out; enough are held at once for the table to
+  // grow several times. Every 5th grant releases its own hold from inside
+  // the grant, re-entering Release and Pump.
+  std::vector<int64_t> universe = CollidingStripes(1024, 48);
+  for (int64_t s = 1'000'000; universe.size() < 96; s += 7919) {
+    universe.push_back(s);
+  }
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    StripeLockTable locks;
+    LockModel model;
+    std::vector<int> table_log;
+    std::vector<int> model_log;
+    std::vector<LockModel::Hold> holds;  // Granted, not self-released.
+    const auto self_releasing = [](int id) { return id % 5 == 0; };
+    model.on_grant = [&](int id, const LockModel::Hold& h) {
+      model_log.push_back(id);
+      if (self_releasing(id)) {
+        model.Release(h);
+      } else {
+        holds.push_back(h);
+      }
+    };
+    int next_id = 0;
+    size_t max_capacity = locks.capacity();
+    for (int step = 0; step < 6000; ++step) {
+      const bool acquire = holds.empty() || rng.Bernoulli(step < 3000 ? 0.6 : 0.4);
+      if (acquire) {
+        const int id = next_id++;
+        const LockModel::Hold h{
+            universe[static_cast<size_t>(
+                rng.UniformInt(0, static_cast<int64_t>(universe.size()) - 1))],
+            rng.Bernoulli(0.5) ? LockMode::kShared : LockMode::kExclusive};
+        locks.Acquire(h.stripe, h.mode, [&, id, h] {
+          table_log.push_back(id);
+          if (self_releasing(id)) {
+            locks.Release(h.stripe, h.mode);
+          }
+        });
+        model.Acquire(id, h);
+      } else {
+        const size_t k = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(holds.size()) - 1));
+        const LockModel::Hold h = holds[k];
+        holds[k] = holds.back();
+        holds.pop_back();
+        locks.Release(h.stripe, h.mode);
+        model.Release(h);
+      }
+      ASSERT_EQ(table_log, model_log) << "seed " << seed << " step " << step;
+      for (const int64_t s : universe) {
+        ASSERT_EQ(locks.Busy(s), model.Busy(s)) << "stripe " << s;
+        ASSERT_EQ(locks.HeldExclusive(s), model.HeldExclusive(s)) << "stripe " << s;
+      }
+      max_capacity = std::max(max_capacity, locks.capacity());
+    }
+    EXPECT_GE(max_capacity, 64u);  // The table grew at least twice.
+    while (!holds.empty()) {  // Drain: every stripe ends idle.
+      const LockModel::Hold h = holds.back();
+      holds.pop_back();
+      locks.Release(h.stripe, h.mode);
+      model.Release(h);
+    }
+    EXPECT_EQ(table_log, model_log);
+    for (const int64_t s : universe) {
+      EXPECT_FALSE(locks.Busy(s));
+    }
+  }
 }
 
 // --- IdleDetector ------------------------------------------------------------

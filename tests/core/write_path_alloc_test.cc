@@ -1,7 +1,8 @@
 // Proves the steady-state client request path is allocation-free: after a
 // warm-up that fills every pool (join blocks, scratch vectors, queue nodes,
 // event slabs, disk in-flight slots, reserved latency samples), a further
-// burst of reads and writes must perform zero heap allocations.
+// burst of reads and writes must perform zero heap allocations. The same
+// holds for a repeated reconstruction sweep on every registered scheme.
 //
 // The global operator new/delete overrides below count every allocation in
 // the process; the test snapshots the counter between identical workload
@@ -13,11 +14,16 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
 
 #include "array/host_driver.h"
+#include "array/scheme.h"
 #include "core/afraid_controller.h"
 #include "core/experiment.h"
+#include "core/scheme_registry.h"
+#include "obs/probe.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -122,6 +128,42 @@ TEST(WritePathAllocTest, SteadyStateRequestPathIsAllocationFree) {
   EXPECT_EQ(after - before, 0u)
       << "steady-state request path performed " << (after - before)
       << " heap allocations";
+}
+
+// The reconstruction sweep must be allocation-free once warmed up, on every
+// registered scheme: fail, replace and reconstruct a disk three times on an
+// idle array, and the second and third rounds allocate nothing (the first
+// grows the event slots, op records, joins and lock-table states).
+TEST(WritePathAllocTest, RepeatedReconstructionSweepIsAllocationFree) {
+  for (const std::string& name : SchemeRegistry::List()) {
+    ArrayConfig base;
+    base.disk_spec = DiskSpec::TinyTestDisk();
+    base.num_disks = 5;
+    base.stripe_unit_bytes = 8192;
+    base.track_content = false;
+    const ArrayConfig cfg = SchemeRegistry::Normalize(name, base);
+    Simulator sim;
+    SchemeContext ctx{&sim, cfg, PolicySpec::AfraidBaseline(),
+                      AvailabilityParamsFor(cfg), Probe()};
+    const std::unique_ptr<ArrayScheme> scheme = SchemeRegistry::Create(name, ctx);
+    ASSERT_NE(scheme, nullptr) << name;
+    sim.RunToEnd();
+    for (int round = 1; round <= 3; ++round) {
+      int sweeps_done = 0;
+      const uint64_t before = g_new_calls.load(std::memory_order_relaxed);
+      ASSERT_TRUE(scheme->FailDisk(1)) << name;
+      ASSERT_TRUE(scheme->ReplaceDisk(1)) << name;
+      ASSERT_TRUE(scheme->StartReconstruction([&sweeps_done] { ++sweeps_done; }))
+          << name;
+      sim.RunToEnd();
+      const uint64_t allocs = g_new_calls.load(std::memory_order_relaxed) - before;
+      ASSERT_EQ(sweeps_done, 1) << name;
+      if (round > 1) {
+        EXPECT_EQ(allocs, 0u) << name << " round " << round << " performed "
+                              << allocs << " heap allocations";
+      }
+    }
+  }
 }
 
 }  // namespace
